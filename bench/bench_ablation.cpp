@@ -1,6 +1,7 @@
 // Ablation bench (DESIGN.md §4): isolates each §4 optimisation on one
-// mid-size dataset (artist, Cluster GCN, 4-bit): zero-tile jumping, kernel
-// fusion, non-zero tile reuse — full epoch latency per variant.
+// mid-size dataset (artist, Cluster GCN, 4-bit): the row-gather aggregation
+// against the tile-MMA sweep, zero-tile jumping, kernel fusion, non-zero
+// tile reuse — full epoch latency per variant.
 #include <iostream>
 
 #include "bench_fig7_common.hpp"
@@ -38,7 +39,8 @@ int main() {
     ReuseMode reuse;
   };
   const std::vector<Variant> variants = {
-      {"full (jump+fusion+reuse)", true, true, ReuseMode::kCrossTile},
+      {"full (jump+fusion+row gather)", true, true, ReuseMode::kRowGather},
+      {"tile aggregation (cross-tile)", true, true, ReuseMode::kCrossTile},
       {"no zero-tile jumping", false, true, ReuseMode::kCrossTile},
       {"no kernel fusion", true, false, ReuseMode::kCrossTile},
       {"no tile reuse (cross-bit)", true, false, ReuseMode::kCrossBit},

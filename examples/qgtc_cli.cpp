@@ -380,6 +380,7 @@ int main(int argc, char** argv) {
     table.add_row({"QGTC ms/epoch",
                    core::TablePrinter::fmt(st.forward_seconds * 1e3, 1)});
     table.add_row({"tile MMAs/epoch", std::to_string(st.bmma_ops)});
+    table.add_row({"gathered edges/epoch", std::to_string(st.gather_edges)});
     table.add_row({"halo nodes/epoch", std::to_string(st.halo_nodes)});
     table.add_row({"halo MB/epoch",
                    core::TablePrinter::fmt(
@@ -461,6 +462,7 @@ int main(int argc, char** argv) {
   table.add_row({"speedup", core::TablePrinter::fmt(f.forward_seconds / q.forward_seconds, 2) + "x"});
   table.add_row({"tile MMAs/epoch", std::to_string(q.bmma_ops)});
   table.add_row({"tiles jumped/epoch", std::to_string(q.tiles_jumped)});
+  table.add_row({"gathered edges/epoch", std::to_string(q.gather_edges)});
   table.add_row({"int32 MB avoided/epoch",
                  core::TablePrinter::fmt(
                      static_cast<double>(q.int32_bytes_avoided) / 1e6, 2)});

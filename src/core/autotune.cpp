@@ -58,11 +58,13 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
   }
   t.batch_size = std::min<i64>(batch, t.num_partitions);
 
-  const i64 nb = avg_part_nodes * t.batch_size;
-  t.batch_bytes_estimate =
-      (adj_bits_estimate(t.batch_size, nb) +
-       pad8(nb) * pad128(widest_dim) * static_cast<i64>(model.feat_bits)) /
-      8;
+  const auto batch_bytes = [&](i64 parts_in_batch) {
+    const i64 nb = avg_part_nodes * parts_in_batch;
+    return (adj_bits_estimate(parts_in_batch, nb) +
+            pad8(nb) * pad128(widest_dim) * static_cast<i64>(model.feat_bits)) /
+           8;
+  };
+  t.batch_bytes_estimate = batch_bytes(t.batch_size);
 
   // Inter-batch workers: one per parallel unit until the epoch runs out of
   // batches (a worker without a batch is idle, not parallelism), capped at
@@ -141,12 +143,40 @@ TunedConfig generate_runtime_config(const DatasetSpec& spec,
     if (t.num_shards <= 1) t.pin_numa = false;
   }
 
+  // The objective and shard overrides above may have raised worker counts
+  // past what the depth solve assumed. Shrink the in-flight window until it
+  // fits the budget slice: depth first, then prepare and compute workers,
+  // and the batch itself last.
+  const auto footprint = [&] {
+    return (2 * static_cast<i64>(t.mode.pipeline_depth) +
+            t.mode.prepare_threads + t.inter_batch_threads + 1) *
+           t.batch_bytes_estimate;
+  };
+  if (t.mode.streaming()) {
+    while (footprint() > mem_budget && t.mode.pipeline_depth > 1) {
+      --t.mode.pipeline_depth;
+    }
+    while (footprint() > mem_budget && t.mode.prepare_threads > 1) {
+      --t.mode.prepare_threads;
+    }
+    while (footprint() > mem_budget && t.inter_batch_threads > 1) {
+      --t.inter_batch_threads;
+    }
+    while (footprint() > mem_budget && t.batch_size > 1) {
+      --t.batch_size;
+      t.batch_bytes_estimate = batch_bytes(t.batch_size);
+      t.epoch_bytes_estimate =
+          ceil_div(t.num_partitions, t.batch_size) * t.batch_bytes_estimate;
+    }
+    if (objective == TuneObjective::kLatency) {
+      t.serving.prepare_workers = t.mode.prepare_threads;
+      t.serving.compute_workers = t.inter_batch_threads;
+    }
+  }
+
   // Prepared-batch cache budget (cross-epoch reuse). Derived AFTER the
   // objective override so the footprint reflects the knobs the run will use.
-  t.streaming_footprint_estimate =
-      (2 * static_cast<i64>(t.mode.pipeline_depth) + t.mode.prepare_threads +
-       t.inter_batch_threads + 1) *
-      t.batch_bytes_estimate;
+  t.streaming_footprint_estimate = footprint();
   if (t.mode.streaming()) {
     const i64 leftover = mem_budget - t.streaming_footprint_estimate;
     // A budget that cannot hold one batch degrades to pass-through — disable

@@ -264,6 +264,7 @@ EngineStats QgtcEngine::run_quantized_precomputed(
   for (const auto& ctx : ctxs) total += ctx.counters();
   stats.tiles_jumped = static_cast<i64>(total.tiles_jumped) / rounds;
   stats.bmma_ops = static_cast<i64>(total.bmma_ops) / rounds;
+  stats.gather_edges = static_cast<i64>(total.gather_edges) / rounds;
   stats.epilogue_fused_layers = model_.fused_stage_count();
   stats.int32_bytes_avoided = static_cast<i64>(total.int32_bytes_avoided) / rounds;
   stamp_execution(stats, cfg_, workers);
@@ -380,6 +381,7 @@ EngineStats QgtcEngine::run_quantized_streaming(
   for (const auto& ctx : ctxs) total += ctx.counters();
   stats.tiles_jumped = static_cast<i64>(total.tiles_jumped) / rounds;
   stats.bmma_ops = static_cast<i64>(total.bmma_ops) / rounds;
+  stats.gather_edges = static_cast<i64>(total.gather_edges) / rounds;
   stats.epilogue_fused_layers = model_.fused_stage_count();
   stats.int32_bytes_avoided = static_cast<i64>(total.int32_bytes_avoided) / rounds;
   stamp_execution(stats, cfg_, workers);

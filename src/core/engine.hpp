@@ -118,9 +118,12 @@ struct EngineStats {
   double forward_seconds = 0.0;
   i64 batches = 0;
   i64 nodes = 0;
-  // Substrate counters accumulated over the epoch.
+  // Substrate counters accumulated over the epoch. bmma_ops counts tile MMAs
+  // actually executed; gather_edges counts neighbour code rows the row-gather
+  // aggregation added (its stages execute no tile MMAs).
   i64 tiles_jumped = 0;
   i64 bmma_ops = 0;
+  i64 gather_edges = 0;
   // Epilogue fusion accounting: requantizing stages the model's rewrite pass
   // runs fused per forward pass, and the int32 intermediate bytes those
   // stages never materialised (per epoch, averaged over rounds).

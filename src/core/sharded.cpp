@@ -265,6 +265,7 @@ EngineStats ShardedEngine::run_quantized(int rounds,
     merged.nodes += st.nodes;
     merged.tiles_jumped += st.tiles_jumped;
     merged.bmma_ops += st.bmma_ops;
+    merged.gather_edges += st.gather_edges;
     merged.epilogue_fused_layers =
         std::max(merged.epilogue_fused_layers, st.epilogue_fused_layers);
     merged.int32_bytes_avoided += st.int32_bytes_avoided;

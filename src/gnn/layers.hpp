@@ -26,7 +26,9 @@ struct GnnConfig {
   // Kernel options (the §4 optimisations; all individually toggleable so the
   // ablation bench can isolate each).
   bool zero_tile_jump = true;
-  ReuseMode reuse = ReuseMode::kCrossTile;
+  /// Aggregation schedule. kRowGather applies per stage where it is exact
+  /// (see row_gather_applies); other stages fall back to kCrossTile.
+  ReuseMode reuse = ReuseMode::kRowGather;
   bool fused_epilogue = true;
 
   /// Hidden-layer activation, executed inside the fused epilogue (or the

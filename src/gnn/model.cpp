@@ -20,6 +20,15 @@ i32 max_value(const MatrixI32& m) {
   return mx;
 }
 
+/// Kernel options every stage of a forward pass shares: the §4.3 jump flag
+/// from the config, and the wrapping accumulator above 8-bit operands.
+BmmOptions stage_options(const GnnConfig& cfg) {
+  BmmOptions opt;
+  opt.zero_tile_jump = cfg.zero_tile_jump;
+  opt.allow_overflow = (cfg.feat_bits > 8 || cfg.weight_bits > 8);
+  return opt;
+}
+
 /// The stage plan's epilogue, in kernel form (fused to-bit paths).
 FusedEpilogue epi_of(const EpiloguePlan& p) {
   FusedEpilogue e;
@@ -68,6 +77,13 @@ void QgtcModel::build_plan() {
   upd_plan_.assign(static_cast<std::size_t>(n), {});
   upd2_plan_.assign(static_cast<std::size_t>(n), {});
   const bool gcn = cfg_.kind == ModelKind::kClusterGCN;
+  // Every aggregation consumes codes of at most feat_bits bits (calibration
+  // only ever narrows a stage's planes), so one test covers all of them.
+  ReuseMode agg_kernel = cfg_.reuse;
+  if (agg_kernel == ReuseMode::kRowGather &&
+      !row_gather_applies(cfg_.feat_bits, stage_options(cfg_))) {
+    agg_kernel = ReuseMode::kCrossTile;
+  }
   for (int l = 0; l < n; ++l) {
     const bool last = (l + 1 == n);
     EpiloguePlan& ap = agg_plan_[static_cast<std::size_t>(l)];
@@ -75,6 +91,7 @@ void QgtcModel::build_plan() {
     EpiloguePlan& up2 = upd2_plan_[static_cast<std::size_t>(l)];
     ap.fused = up.fused = up2.fused = cfg_.fused_epilogue;
     ap.out_bits = up.out_bits = up2.out_bits = cfg_.feat_bits;
+    ap.kernel = agg_kernel;
     // Aggregation requantizes without an activation (the nonlinearity sits on
     // the update stage, as in the paper's GCN/GIN layer definitions). The
     // update stage that feeds the final logits stays linear.
@@ -135,9 +152,7 @@ void QgtcModel::quantize_weights() {
 template <typename Adj>
 void QgtcModel::calibrate_impl(const Adj& adj, const MatrixF& x) {
   const int s = cfg_.feat_bits;
-  BmmOptions opt;
-  opt.zero_tile_jump = cfg_.zero_tile_jump;
-  opt.allow_overflow = (cfg_.feat_bits > 8 || cfg_.weight_bits > 8);
+  const BmmOptions opt = stage_options(cfg_);
 
   const QuantParams xqp = quant_params_from_data(x, s);
   MatrixI32 xq = quantize_matrix(x, xqp);
@@ -166,7 +181,7 @@ void QgtcModel::calibrate_impl(const Adj& adj, const MatrixF& x) {
     if (gcn) {
       auto xp = StackedBitTensor::decompose(xq, cur_bits, BitLayout::kColMajorK,
                                             PadPolicy::kTile8);
-      MatrixI32 agg = aggregate_1bit(adj, xp, cfg_.reuse, opt);
+      MatrixI32 agg = aggregate_1bit(adj, xp, agg_plan_[li].kernel, opt);
       requant_stage(agg, agg_plan_[li]);
       auto xn = StackedBitTensor::decompose(agg, agg_plan_[li].out_bits,
                                             BitLayout::kRowMajorK,
@@ -193,7 +208,7 @@ void QgtcModel::calibrate_impl(const Adj& adj, const MatrixF& x) {
       }
       auto xu = StackedBitTensor::decompose(upd, ub, BitLayout::kColMajorK,
                                             PadPolicy::kTile8);
-      MatrixI32 agg = aggregate_1bit(adj, xu, cfg_.reuse, opt);
+      MatrixI32 agg = aggregate_1bit(adj, xu, agg_plan_[li].kernel, opt);
       if (last) break;
       requant_stage(agg, agg_plan_[li]);
       cur_bits = agg_plan_[li].out_bits;
@@ -236,9 +251,7 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
   // adjacency flag map belongs only to the aggregation-side options — a
   // single-plane (1-bit) activation operand would otherwise be jumped with
   // the adjacency's map, whose tile grid it does not share.
-  BmmOptions opt;
-  opt.zero_tile_jump = cfg_.zero_tile_jump;
-  opt.allow_overflow = (cfg_.feat_bits > 8 || cfg_.weight_bits > 8);
+  BmmOptions opt = stage_options(cfg_);
   opt.ctx = ctx;
   BmmOptions agg_opt = opt;
   agg_opt.tile_map = tile_map;
@@ -271,10 +284,10 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
       StackedBitTensor xn;
       if (ap.fused) {
         xn = aggregate_fused_bit(adj, *cur, ap.out_bits, epi_of(ap), agg_opt,
-                                 PadPolicy::kTile8);
+                                 PadPolicy::kTile8, ap.kernel);
       } else {
         MatrixI32& agg = ws.int32_scratch(kAggScratch, nodes, cur->cols());
-        aggregate_1bit_into(adj, *cur, cfg_.reuse, agg, agg_opt);
+        aggregate_1bit_into(adj, *cur, ap.kernel, agg, agg_opt);
         requant_inplace(agg, ap);
         xn = StackedBitTensor::decompose(agg, ap.out_bits,
                                          BitLayout::kRowMajorK,
@@ -335,17 +348,17 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
                                            PadPolicy::kTile8);
         }
       }
+      const EpiloguePlan& ap = agg_plan_[li];
       if (last) {
-        logits = aggregate_1bit(adj, xu, cfg_.reuse, agg_opt);
+        logits = aggregate_1bit(adj, xu, ap.kernel, agg_opt);
         break;
       }
-      const EpiloguePlan& ap = agg_plan_[li];
       if (ap.fused) {
         next = aggregate_fused_bit(adj, xu, ap.out_bits, epi_of(ap), agg_opt,
-                                   PadPolicy::kTile8);
+                                   PadPolicy::kTile8, ap.kernel);
       } else {
         MatrixI32& agg = ws.int32_scratch(kAggScratch, nodes, xu.cols());
-        aggregate_1bit_into(adj, xu, cfg_.reuse, agg, agg_opt);
+        aggregate_1bit_into(adj, xu, ap.kernel, agg, agg_opt);
         requant_inplace(agg, ap);
         next = StackedBitTensor::decompose(agg, ap.out_bits,
                                            BitLayout::kRowMajorK,
@@ -361,6 +374,8 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
     stats->bmma_ops += static_cast<i64>(after.bmma_ops - before.bmma_ops);
     stats->int32_bytes_avoided += static_cast<i64>(after.int32_bytes_avoided -
                                                    before.int32_bytes_avoided);
+    stats->gather_edges +=
+        static_cast<i64>(after.gather_edges - before.gather_edges);
   }
   return logits;
 }

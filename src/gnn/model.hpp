@@ -22,9 +22,10 @@ struct ForwardStats {
   i64 tiles_jumped = 0;
   i64 bmma_ops = 0;
   i64 int32_bytes_avoided = 0;
+  i64 gather_edges = 0;
 };
 
-/// Per-stage epilogue rewrite decision (one per aggregate/update stage per
+/// Per-stage kernel and epilogue plan (one per aggregate/update stage per
 /// layer). Built at construction from the config; rshift and out_bits are
 /// filled in by calibration. The same plan drives the fused epilogue and the
 /// unfused fallback, so the two paths are bit-identical by construction.
@@ -33,6 +34,11 @@ struct EpiloguePlan {
   int out_bits = 8;
   tcsim::Activation act = tcsim::Activation::kIdentity;
   bool fused = true;
+  /// Aggregation stages: the schedule the stage runs. kRowGather when the
+  /// config asks for it and row_gather_applies to the stage; otherwise a
+  /// tile sweep (the config's tile schedule, kCrossTile by default). Update
+  /// stages always run the tile sweep and leave this at kCrossTile.
+  ReuseMode kernel = ReuseMode::kCrossTile;
 };
 
 class QgtcModel {

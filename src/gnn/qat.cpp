@@ -38,25 +38,32 @@ MatrixF spmm_sym(const CsrGraph& g, const std::vector<float>& norm,
   return y;
 }
 
-/// C = A^T * B (used for weight gradients).
+/// C = A^T * B (used for weight gradients). The K (row) range is cut into
+/// fixed blocks whose partial products are summed in block order, so the
+/// floating-point result depends on neither the thread count nor the order
+/// in which threads finish.
 MatrixF gemm_tn(const MatrixF& a, const MatrixF& b) {
-  MatrixF c(a.cols(), b.cols(), 0.0f);
-  const i64 n = b.cols();
-#pragma omp parallel
-  {
-    MatrixF local(a.cols(), n, 0.0f);
-#pragma omp for schedule(static) nowait
-    for (i64 k = 0; k < a.rows(); ++k) {
-      const float* arow = a.row(k).data();
-      const float* brow = b.row(k).data();
-      for (i64 i = 0; i < a.cols(); ++i) {
-        const float aki = arow[i];
-        if (aki == 0.0f) continue;
+  const i64 m = a.cols(), n = b.cols(), k = a.rows();
+  constexpr i64 kBlocks = 64;
+  const i64 block = std::max<i64>(ceil_div(k, kBlocks), 256);
+  const i64 blocks = ceil_div(k, block);
+  std::vector<MatrixF> partial(static_cast<std::size_t>(blocks));
+  parallel_for_dynamic(0, blocks, /*chunk=*/1, [&](i64 blk) {
+    MatrixF& local = partial[static_cast<std::size_t>(blk)];
+    local = MatrixF(m, n, 0.0f);
+    for (i64 r = blk * block; r < std::min(k, (blk + 1) * block); ++r) {
+      const float* arow = a.row(r).data();
+      const float* brow = b.row(r).data();
+      for (i64 i = 0; i < m; ++i) {
+        const float ari = arow[i];
+        if (ari == 0.0f) continue;
         float* crow = local.row(i).data();
-        for (i64 j = 0; j < n; ++j) crow[j] += aki * brow[j];
+        for (i64 j = 0; j < n; ++j) crow[j] += ari * brow[j];
       }
     }
-#pragma omp critical
+  });
+  MatrixF c(m, n, 0.0f);
+  for (const MatrixF& local : partial) {
     for (i64 i = 0; i < c.size(); ++i) c.data()[i] += local.data()[i];
   }
   return c;

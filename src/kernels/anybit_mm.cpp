@@ -9,6 +9,12 @@
 
 namespace qgtc {
 
+// The row gather reads and writes packed plane words byte by byte (byte k of
+// a line = bits 8k..8k+7), which is the u32 packing only on little-endian
+// hosts.
+static_assert(std::endian::native == std::endian::little,
+              "packed bit planes are addressed bytewise");
+
 
 void check_accumulator_bounds(i64 k, int s_bits, int t_bits) {
   const i64 max_val = k * ((i64{1} << s_bits) - 1) * ((i64{1} << t_bits) - 1);
@@ -22,6 +28,11 @@ int calibrate_rshift(i32 max_acc, int out_bits) {
   const int bits_needed =
       32 - std::countl_zero(static_cast<u32>(max_acc));
   return bits_needed > out_bits ? bits_needed - out_bits : 0;
+}
+
+bool row_gather_applies(int x_bits, const BmmOptions& opt) {
+  return opt.zero_tile_jump && opt.op == tcsim::BmmaOp::kAnd &&
+         !opt.allow_overflow && x_bits >= 1 && x_bits <= 8;
 }
 
 namespace {
@@ -303,6 +314,180 @@ inline void drain_int_tile(const tcsim::SubstrateBackend& be, i32* out, i64 m,
   }
 }
 
+/// kSpread[v] holds bit i of v in the low bit of byte i.
+constexpr std::array<u64, 256> kSpread = [] {
+  std::array<u64, 256> t{};
+  for (int v = 0; v < 256; ++v) {
+    for (int i = 0; i < 8; ++i) {
+      t[static_cast<std::size_t>(v)] |= static_cast<u64>((v >> i) & 1) << (8 * i);
+    }
+  }
+  return t;
+}();
+
+/// In-place transpose of an 8x8 byte matrix held as eight u64 rows (byte j
+/// of r[i] is element (i, j)): three rounds of block swaps.
+inline void transpose8x8_bytes(u64 (&r)[8]) {
+  const auto swap_blocks = [&](int dist, int bits, u64 mask) {
+    for (int i = 0; i < 8; ++i) {
+      if ((i & dist) != 0) continue;
+      const u64 t = ((r[i] >> bits) ^ r[i + dist]) & mask;
+      r[i + dist] ^= t;
+      r[i] ^= t << bits;
+    }
+  };
+  swap_blocks(1, 8, 0x00FF00FF00FF00FFull);
+  swap_blocks(2, 16, 0x0000FFFF0000FFFFull);
+  swap_blocks(4, 32, 0x00000000FFFFFFFFull);
+}
+
+/// Unpacks kColMajorK bit planes (<= 8) into node-major u8 code rows:
+/// codes[v * width + j] = sum_b 2^b * x_b[v][j] for every padded K row v and
+/// j < width (columns past the planes' 8-aligned extent read as zero). Works
+/// on 8 nodes x 8 columns at a time: one byte per plane per column spreads
+/// into eight code bytes, then an 8x8 byte transpose makes them node-major.
+void unpack_codes(const StackedBitTensor& x, u8* codes, i64 width) {
+  const int bits = x.bits();
+  const i64 groups = x.plane(0).padded_rows() / 8;
+  const i64 col_bytes = x.plane(0).k_words() * static_cast<i64>(sizeof(u32));
+  const i64 cols8 = pad8(x.cols());
+  const u8* planes[8];
+  for (int b = 0; b < bits; ++b) {
+    planes[b] = reinterpret_cast<const u8*>(x.plane(b).data());
+  }
+  for (i64 g = 0; g < groups; ++g) {
+    u8* dst = codes + g * 8 * width;
+    for (i64 c0 = 0; c0 < cols8; c0 += 8) {
+      u64 r[8];
+      for (int c = 0; c < 8; ++c) {
+        const i64 at = (c0 + c) * col_bytes + g;
+        u64 v = 0;
+        for (int b = 0; b < bits; ++b) v |= kSpread[planes[b][at]] << b;
+        r[c] = v;
+      }
+      transpose8x8_bytes(r);
+      for (int i = 0; i < 8; ++i) std::memcpy(dst + i * width + c0, &r[i], 8);
+    }
+    if (cols8 < width) {
+      for (int i = 0; i < 8; ++i) {
+        std::memset(dst + i * width + cols8, 0,
+                    static_cast<std::size_t>(width - cols8));
+      }
+    }
+  }
+}
+
+/// Entries set_bit_positions may write past the positions it reports.
+constexpr i64 kWalkSlack = 4;
+
+/// Writes base + (index of each set bit of `bits`), ascending, to `out` and
+/// returns how many there are. The first four writes are unconditional (the
+/// stored adjacency tiles hold a few bits per 64-bit word), so most words
+/// cost no data-dependent branch; up to kWalkSlack entries past the count
+/// are scratch.
+inline i64 set_bit_positions(u64 bits, i32 base, i32* out) {
+  const int count = std::popcount(bits);
+  for (int k = 0; k < 4; ++k) {
+    out[k] = base + std::countr_zero(bits);
+    bits &= bits - 1;
+  }
+  for (int k = 4; k < count; ++k) {
+    out[k] = base + std::countr_zero(bits);
+    bits &= bits - 1;
+  }
+  return count;
+}
+
+/// Row-gather aggregation: the integer identity behind Algorithm 1,
+/// sum_b 2^b * popcount(A_row & X_b) = sum over set bits v of A_row of
+/// code(X[v]), executed literally. X's planes are unpacked once to u8 code
+/// rows (calling thread, workspace code slot); then one parallel region over
+/// row blocks walks the set bits of each surviving A tile (the same tile
+/// source and survivors() call as fused_tile_sweep, so tiles_jumped
+/// matches) and adds the neighbours' code rows into an int32 row through
+/// the backend's add_code_rows hook. `drain(row, acc)` receives each
+/// finished output row (acc holds round_up(n, kCodeRowAlign) lanes; only the
+/// first n are meaningful) and may overwrite it. No tile MMAs execute.
+template <typename Src, typename Drain>
+void row_gather(const Src& src, const StackedBitTensor& x, i64 m,
+                const BmmOptions& opt, Drain&& drain) {
+  QGTC_CHECK(row_gather_applies(x.bits(), opt),
+             "row gather needs zero-tile jumping, the AND combine, codes of "
+             "at most 8 bits and the int32 bound (no allow_overflow)");
+  QGTC_CHECK(x.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
+  QGTC_CHECK(src.padded_k() == x.plane(0).padded_rows(),
+             "padded K extents of A and B differ");
+
+  const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
+  const tcsim::SubstrateBackend& be = ctx.backend();
+  const i64 width = round_up(x.cols(), tcsim::kCodeRowAlign);
+  u8* codes = ctx.workspace().code_scratch(src.padded_k() * width);
+  unpack_codes(x, codes, width);
+
+  const i64 tiles_m = src.tiles_m();
+  std::vector<std::vector<i64>>& k_lists = ctx.workspace().k_lists(tiles_m);
+  parallel_for_dynamic(0, tiles_m, /*chunk=*/1, [&](i64 tm) {
+    auto& list = k_lists[static_cast<std::size_t>(tm)];
+    list.reserve(static_cast<std::size_t>(src.survivor_bound(tm)));
+    tcsim::Counters delta;
+    delta.tiles_jumped = static_cast<u64>(src.survivors(tm, opt, list));
+    // Accumulator row, then room for one row's neighbours across the list
+    // (plus the walk's unconditional-write slack).
+    i32* acc = ctx.workspace().gather_lanes(
+        width + static_cast<i64>(list.size()) * kTileK + kWalkSlack);
+    i32* nbrs = acc + width;
+    const i64 rows_here = std::min<i64>(kTileM, m - tm * kTileM);
+    for (i64 i = 0; i < rows_here; ++i) {
+      i64 count = 0;
+      for (const i64 h : list) {
+        const u32* words = src.tile_ptr(0, tm, h) + i * src.tile_stride(0);
+        const i32 base = static_cast<i32>(src.tile_col(h) * kTileK);
+        for (int half = 0; half < 2; ++half) {
+          u64 bits;
+          std::memcpy(&bits, words + 2 * half, sizeof(bits));
+          count += set_bit_positions(bits, base + 64 * half, nbrs + count);
+        }
+      }
+      std::memset(acc, 0, static_cast<std::size_t>(width) * sizeof(i32));
+      be.add_code_rows(acc, codes, width, nbrs, count);
+      drain(tm * kTileM + i, acc);
+      delta.gather_edges += static_cast<u64>(count);
+    }
+    ctx.note(delta);
+  });
+}
+
+/// Fused to-bit row gather: each finished row is requantized through the
+/// shared epilogue and packed straight into its row of every kRowMajorK
+/// output plane, so no int32 activation matrix is materialised (§4.5).
+template <typename Src>
+StackedBitTensor gather_bit_output(const Src& src, const StackedBitTensor& x,
+                                   i64 m, int out_bits, const FusedEpilogue& epi,
+                                   const BmmOptions& opt, PadPolicy out_pad) {
+  QGTC_CHECK(out_bits <= 8, "the row gather's fused output packs at most 8 bits");
+  const i64 n = x.cols();
+  StackedBitTensor out =
+      StackedBitTensor::zeros(m, n, out_bits, BitLayout::kRowMajorK, out_pad);
+  const i32 qmax = static_cast<i32>((u32{1} << out_bits) - 1);
+  const tcsim::EpilogueSpec spec{epi.act, epi.rshift, qmax};
+  const tcsim::SubstrateBackend& be = resolve_ctx(opt).backend();
+  row_gather(src, x, m, opt, [&](i64 r, i32* acc) {
+    if (epi.use_bn) {
+      for (i64 j = 0; j < n; ++j) acc[j] = apply_bn(acc[j], j, epi);
+    }
+    u8* rows[8];
+    for (int b = 0; b < out_bits; ++b) {
+      rows[b] = reinterpret_cast<u8*>(out.plane(b).row_words(r));
+    }
+    be.flush_row_planes(acc, n, spec, rows, out_bits);
+  });
+  tcsim::Counters avoided;
+  avoided.int32_bytes_avoided =
+      static_cast<u64>(m) * static_cast<u64>(n) * sizeof(i32);
+  resolve_ctx(opt).note(avoided);
+  return out;
+}
+
 }  // namespace
 
 MatrixI32 bitmm_to_int(const StackedBitTensor& a, const StackedBitTensor& b,
@@ -455,6 +640,13 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
              "aggregate_1bit_into: output shape mismatch");
   if (!opt.allow_overflow) check_accumulator_bounds(a_bin.cols(), 1, x.bits());
   const i64 m = a_bin.rows(), n = x.cols();
+  if (mode == ReuseMode::kRowGather) {
+    row_gather(src, x, m, opt, [&](i64 r, const i32* acc) {
+      std::memcpy(out.data() + r * n, acc,
+                  static_cast<std::size_t>(n) * sizeof(i32));
+    });
+    return;
+  }
   if (mode == ReuseMode::kCrossBit) {
     // Figure 6(a): one complete BMM pass per bit-plane; every surviving A
     // tile is re-loaded for each plane.
@@ -512,28 +704,43 @@ void aggregate_1bit_into(const TileSparseBitMatrix& a_bin,
                            x, mode, out, opt);
 }
 
-StackedBitTensor aggregate_fused_bit(const BitMatrix& a_bin,
-                                     const StackedBitTensor& x, int out_bits,
-                                     const FusedEpilogue& epi,
-                                     const BmmOptions& opt, PadPolicy out_pad) {
+namespace {
+
+/// Shared aggregate_fused_bit body, generic over the adjacency tile source.
+template <typename AdjT, typename Src>
+StackedBitTensor aggregate_fused_bit_impl(const AdjT& a_bin, const Src& src,
+                                          const StackedBitTensor& x,
+                                          int out_bits, const FusedEpilogue& epi,
+                                          const BmmOptions& opt,
+                                          PadPolicy out_pad, ReuseMode mode) {
   QGTC_CHECK(a_bin.cols() == x.rows(), "aggregate_fused_bit: dimension mismatch");
   QGTC_CHECK(out_bits >= 1 && out_bits <= 31, "out_bits must be in [1,31]");
   if (!opt.allow_overflow) check_accumulator_bounds(a_bin.cols(), 1, x.bits());
-  return fused_bit_output(DensePlanesSource({&a_bin}), plane_ptrs(x),
-                          a_bin.rows(), x.cols(), out_bits, epi, opt, out_pad,
-                          BitLayout::kRowMajorK);
+  if (mode == ReuseMode::kRowGather) {
+    return gather_bit_output(src, x, a_bin.rows(), out_bits, epi, opt, out_pad);
+  }
+  return fused_bit_output(src, plane_ptrs(x), a_bin.rows(), x.cols(), out_bits,
+                          epi, opt, out_pad, BitLayout::kRowMajorK);
+}
+
+}  // namespace
+
+StackedBitTensor aggregate_fused_bit(const BitMatrix& a_bin,
+                                     const StackedBitTensor& x, int out_bits,
+                                     const FusedEpilogue& epi,
+                                     const BmmOptions& opt, PadPolicy out_pad,
+                                     ReuseMode mode) {
+  return aggregate_fused_bit_impl(a_bin, DensePlanesSource({&a_bin}), x,
+                                  out_bits, epi, opt, out_pad, mode);
 }
 
 StackedBitTensor aggregate_fused_bit(const TileSparseBitMatrix& a_bin,
                                      const StackedBitTensor& x, int out_bits,
                                      const FusedEpilogue& epi,
-                                     const BmmOptions& opt, PadPolicy out_pad) {
-  QGTC_CHECK(a_bin.cols() == x.rows(), "aggregate_fused_bit: dimension mismatch");
-  QGTC_CHECK(out_bits >= 1 && out_bits <= 31, "out_bits must be in [1,31]");
-  if (!opt.allow_overflow) check_accumulator_bounds(a_bin.cols(), 1, x.bits());
-  return fused_bit_output(SparseAdjSource(a_bin), plane_ptrs(x), a_bin.rows(),
-                          x.cols(), out_bits, epi, opt, out_pad,
-                          BitLayout::kRowMajorK);
+                                     const BmmOptions& opt, PadPolicy out_pad,
+                                     ReuseMode mode) {
+  return aggregate_fused_bit_impl(a_bin, SparseAdjSource(a_bin), x, out_bits,
+                                  epi, opt, out_pad, mode);
 }
 
 }  // namespace qgtc

@@ -20,10 +20,15 @@
 
 namespace qgtc {
 
-/// Figure 6's two reduction orders for aggregation (1-bit A x s-bit X).
+/// Aggregation schedules (1-bit A x s-bit X). The first two are Figure 6's
+/// tile-MMA reduction orders; the third adds the neighbours' quantized codes
+/// directly. All three compute the same exact integers.
 enum class ReuseMode {
   kCrossBit,   // (a): one full pass per bit-plane; A tiles re-loaded per bit
   kCrossTile,  // (b): per non-zero A tile, sweep all bit-planes (O(1) loads)
+  kRowGather,  // per surviving A tile, walk its set bits and add each
+               // neighbour's unpacked u8 code row (no tile MMAs); see
+               // row_gather_applies for when it is allowed
 };
 
 /// Fused epilogue applied to each finished 8x8 int32 output tile (§4.5).
@@ -76,8 +81,15 @@ StackedBitTensor bitmm_fused_bit(const StackedBitTensor& a,
                                  PadPolicy out_pad = PadPolicy::kOperand128,
                                  BitLayout out_layout = BitLayout::kRowMajorK);
 
-/// Neighbour aggregation X_new = A_bin x X with selectable reduction order
-/// (the Figure 10 ablation). int32 output.
+/// True when the row gather may run an aggregation over `x_bits`-bit codes
+/// with `opt`: zero-tile jumping on, the AND combine, codes that fit in u8,
+/// and the int32 bound enforced (no allow_overflow). Σ_b 2^b·popcount(A_row
+/// ∧ X_b) is then exactly the int32 sum of the neighbours' codes, so the
+/// gather is bit-identical to the tile sweeps.
+[[nodiscard]] bool row_gather_applies(int x_bits, const BmmOptions& opt);
+
+/// Neighbour aggregation X_new = A_bin x X with selectable schedule (the
+/// Figure 10 ablation, plus kRowGather). int32 output.
 MatrixI32 aggregate_1bit(const BitMatrix& a_bin, const StackedBitTensor& x,
                          ReuseMode mode, const BmmOptions& opt = {});
 
@@ -99,18 +111,23 @@ void aggregate_1bit_into(const TileSparseBitMatrix& a_bin,
                          MatrixI32& out, const BmmOptions& opt = {});
 
 /// Fused aggregation: requantizes X_new to `out_bits` inside the epilogue.
+/// `mode` kRowGather drains each gathered row through the epilogue (at most
+/// 8 output bits); the tile schedules run the cross-tile sweep (cross-bit
+/// has no fused form).
 StackedBitTensor aggregate_fused_bit(const BitMatrix& a_bin,
                                      const StackedBitTensor& x, int out_bits,
                                      const FusedEpilogue& epi = {},
                                      const BmmOptions& opt = {},
-                                     PadPolicy out_pad = PadPolicy::kOperand128);
+                                     PadPolicy out_pad = PadPolicy::kOperand128,
+                                     ReuseMode mode = ReuseMode::kCrossTile);
 
 /// Fused aggregation over a tile-CSR adjacency (structural jumping).
 StackedBitTensor aggregate_fused_bit(const TileSparseBitMatrix& a_bin,
                                      const StackedBitTensor& x, int out_bits,
                                      const FusedEpilogue& epi = {},
                                      const BmmOptions& opt = {},
-                                     PadPolicy out_pad = PadPolicy::kOperand128);
+                                     PadPolicy out_pad = PadPolicy::kOperand128,
+                                     ReuseMode mode = ReuseMode::kCrossTile);
 
 /// Right-shift such that `max_acc` lands inside `out_bits` bits.
 int calibrate_rshift(i32 max_acc, int out_bits);

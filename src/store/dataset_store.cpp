@@ -81,16 +81,38 @@ DatasetStore DatasetStore::open(const std::string& dir,
     QGTC_CHECK(sh.total_edges == total_directed_edges,
                "CSR shards disagree on edge count: " + path);
 
+    // Validate the payload against the file before trusting any of it: the
+    // row_ptr array must fit, be monotone and stay inside the edge range,
+    // and the col_idx array must be exactly what row_ptr says.
+    QGTC_CHECK(sh.num_nodes <= sh.total_nodes - sh.first_node,
+               "CSR shard node range exceeds the graph: " + path);
+    const i64 row_ptr_end = static_cast<i64>(sizeof(ShardHeader)) +
+                            (sh.num_nodes + 1) * static_cast<i64>(sizeof(i64));
+    QGTC_CHECK(file.size() >= row_ptr_end,
+               "CSR shard truncated inside row_ptr: " + path);
     const i64* row_ptr =
         reinterpret_cast<const i64*>(file.data() + sizeof(ShardHeader));
+    for (i64 i = 0; i < sh.num_nodes; ++i) {
+      QGTC_CHECK(row_ptr[i] <= row_ptr[i + 1],
+                 "CSR shard row_ptr is not non-decreasing: " + path);
+    }
+    QGTC_CHECK(row_ptr[0] >= 0 && row_ptr[sh.num_nodes] <= sh.total_edges,
+               "CSR shard row_ptr outside the edge range: " + path);
     const i64 shard_edges = row_ptr[sh.num_nodes] - row_ptr[0];
-    const i64 expect = static_cast<i64>(sizeof(ShardHeader)) +
-                       (sh.num_nodes + 1) * static_cast<i64>(sizeof(i64)) +
-                       shard_edges * static_cast<i64>(sizeof(i32));
-    QGTC_CHECK(file.size() == expect, "CSR shard payload size mismatch: " + path);
+    QGTC_CHECK((file.size() - row_ptr_end) % static_cast<i64>(sizeof(i32)) == 0 &&
+                   (file.size() - row_ptr_end) / static_cast<i64>(sizeof(i32)) ==
+                       shard_edges,
+               "CSR shard payload size mismatch: " + path);
     const i32* col_idx = reinterpret_cast<const i32*>(
         file.data() + sizeof(ShardHeader) +
         static_cast<std::size_t>(sh.num_nodes + 1) * sizeof(i64));
+    for (i64 e = 0; e < shard_edges; ++e) {
+      QGTC_CHECK(col_idx[e] >= 0 && col_idx[e] < sh.total_nodes,
+                 "CSR shard col_idx out of range: " + path);
+    }
+    // The scan faulted the whole shard in; give the pages back so opening a
+    // store stays as cheap in residency as before validation existed.
+    file.release_residency();
     segments.push_back(
         CsrView::Segment{sh.first_node, sh.num_nodes, row_ptr, col_idx});
     ds.csr_mapped_bytes_ += file.size();

@@ -205,7 +205,27 @@ class SubstrateBackend {
   virtual void mma_tile_list(u64* acc, const SparseTileRef* tiles, i64 n_tiles,
                              i64 a_stride, const u32* b_cols, i64 b_stride,
                              i64 nb, int shift, bool use_xor) const;
+
+  /// Row-gather hook: acc[j] += codes[rows[t] * width + j] for every listed
+  /// row t and every j < width — one output row's neighbour sum over
+  /// unpacked u8 codes. `width` is a multiple of kCodeRowAlign; acc holds
+  /// `width` lanes. Exact int32 arithmetic (callers bound the sum), so every
+  /// override is bit-identical to the base scalar loop.
+  virtual void add_code_rows(i32* acc, const u8* codes, i64 width,
+                             const i32* rows, i64 count) const;
+
+  /// Row-gather drain (the row form of flush_planes): requantize one
+  /// finished row of `n` values in place with `spec` (0 <= qmax <= 255, so
+  /// out_bits <= 8) and write the bits into packed byte rows — bit j % 8 of
+  /// planes[b][j / 8] = bit b of value j, for every b < out_bits. Assigns
+  /// whole bytes; each plane row must hold round_up(n, 16) bits.
+  virtual void flush_row_planes(i32* acc, i64 n, const EpilogueSpec& spec,
+                                u8* const* planes, int out_bits) const;
 };
+
+/// Column granularity of the row gather's unpacked code rows (and of the
+/// add_code_rows width): one 128-bit load of u8 codes.
+inline constexpr i64 kCodeRowAlign = 16;
 
 /// Registry lookup. Instances are process-lifetime singletons; kSimd and
 /// kBlocked resolve their micro-kernel once at first use from compile-time

@@ -38,10 +38,25 @@ u64* Workspace::acc_lanes(i64 lanes) {
   return acc_lanes_.data();
 }
 
+u8* Workspace::code_scratch(i64 bytes) {
+  if (static_cast<i64>(code_scratch_.size()) < bytes) {
+    code_scratch_.resize(static_cast<std::size_t>(bytes));
+  }
+  return code_scratch_.data();
+}
+
+i32* Workspace::gather_lanes(i64 lanes) {
+  if (static_cast<i64>(gather_lanes_.size()) < lanes) {
+    gather_lanes_.resize(static_cast<std::size_t>(lanes));
+  }
+  return gather_lanes_.data();
+}
+
 std::size_t Workspace::footprint_bytes() const {
   std::size_t b = static_cast<std::size_t>(padded_acc_.size()) * sizeof(i32) +
                   tile_refs_.capacity() * sizeof(SparseTileRef) +
-                  acc_lanes_.size() * sizeof(u64);
+                  acc_lanes_.size() * sizeof(u64) + code_scratch_.size() +
+                  gather_lanes_.size() * sizeof(i32);
   for (const auto& m : int32_scratch_) {
     b += static_cast<std::size_t>(m.size()) * sizeof(i32);
   }
@@ -72,6 +87,7 @@ void ExecutionContext::note(const Counters& delta) const {
   tiles_jumped_.fetch_add(delta.tiles_jumped, std::memory_order_relaxed);
   int32_bytes_avoided_.fetch_add(delta.int32_bytes_avoided,
                                  std::memory_order_relaxed);
+  gather_edges_.fetch_add(delta.gather_edges, std::memory_order_relaxed);
 }
 
 Counters ExecutionContext::counters() const {
@@ -83,6 +99,7 @@ Counters ExecutionContext::counters() const {
   c.frag_stores = frag_stores_.load(std::memory_order_relaxed);
   c.tiles_jumped = tiles_jumped_.load(std::memory_order_relaxed);
   c.int32_bytes_avoided = int32_bytes_avoided_.load(std::memory_order_relaxed);
+  c.gather_edges = gather_edges_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -97,6 +114,7 @@ void ExecutionContext::reset_counters() {
   frag_stores_.store(0, std::memory_order_relaxed);
   tiles_jumped_.store(0, std::memory_order_relaxed);
   int32_bytes_avoided_.store(0, std::memory_order_relaxed);
+  gather_edges_.store(0, std::memory_order_relaxed);
 }
 
 const ExecutionContext& ExecutionContext::default_context() {

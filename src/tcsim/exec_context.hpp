@@ -53,6 +53,15 @@ class Workspace {
   /// Uninitialised, 64-byte-aligned u64 tile-accumulator scratch.
   u64* acc_lanes(i64 lanes);
 
+  /// Uninitialised, 64-byte-aligned u8 scratch: the row gather's unpacked
+  /// quantized code rows (one per stage, filled by the calling thread and
+  /// read by the stage's inner threads).
+  u8* code_scratch(i64 bytes);
+
+  /// Uninitialised, 64-byte-aligned i32 scratch: the row gather's per-thread
+  /// accumulator row and neighbour list.
+  i32* gather_lanes(i64 lanes);
+
   /// Bytes currently retained by this thread's arena.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
@@ -62,6 +71,8 @@ class Workspace {
   std::vector<std::vector<i64>> k_lists_;
   std::vector<SparseTileRef> tile_refs_;
   AlignedVector<u64> acc_lanes_;
+  AlignedVector<u8> code_scratch_;
+  AlignedVector<i32> gather_lanes_;
 };
 
 /// This OS thread's arena (created on first use, lives for the thread).
@@ -110,6 +121,7 @@ class ExecutionContext {
   mutable std::atomic<u64> frag_stores_{0};
   mutable std::atomic<u64> tiles_jumped_{0};
   mutable std::atomic<u64> int32_bytes_avoided_{0};
+  mutable std::atomic<u64> gather_edges_{0};
 };
 
 }  // namespace qgtc::tcsim

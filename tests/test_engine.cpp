@@ -4,8 +4,11 @@
 
 #include "core/engine.hpp"
 #include "core/stats.hpp"
+#include "parallel/parallel_for.hpp"
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace qgtc::core {
 namespace {
@@ -91,6 +94,44 @@ TEST(Engine, QuantizedLogitsDeterministic) {
   const auto& bd2 = *e2.batch_data().front();
   EXPECT_EQ(e1.model().forward_quantized(bd1.adj, bd1.features),
             e2.model().forward_quantized(bd2.adj, bd2.features));
+}
+
+TEST(Engine, EpochBitIdenticalAtOneAndFourThreads) {
+  // Results must not depend on the thread count: one epoch on a single
+  // thread vs four OpenMP threads (inside each forward pass, and across
+  // inter-batch workers), in both epoch modes, logits and counters alike.
+  const Dataset ds = small_dataset();
+  const int saved = num_threads();
+  for (const gnn::ModelKind kind :
+       {gnn::ModelKind::kClusterGCN, gnn::ModelKind::kBatchedGIN}) {
+    for (const bool streaming : {false, true}) {
+      EngineConfig cfg = small_config(kind, 4);
+      if (streaming) {
+        cfg.mode = RunMode::streaming_pipeline(/*depth=*/2, /*prepare=*/2,
+                                               RunMode::Adjacency::kTileSparse);
+      }
+      const std::string tag = std::string(gnn::model_name(kind)) +
+                              (streaming ? " streaming" : " precomputed");
+      QgtcEngine engine(ds, cfg);
+      set_num_threads(1);
+      engine.set_execution(cfg.backend, 1);
+      std::vector<MatrixI32> want;
+      const EngineStats one = engine.run_quantized(1, &want);
+      set_num_threads(4);
+      for (const int workers : {1, 4}) {
+        engine.set_execution(cfg.backend, workers);
+        std::vector<MatrixI32> got;
+        const EngineStats four = engine.run_quantized(1, &got);
+        EXPECT_EQ(got, want) << tag << ", " << workers << " workers";
+        EXPECT_EQ(four.bmma_ops, one.bmma_ops) << tag;
+        EXPECT_EQ(four.tiles_jumped, one.tiles_jumped) << tag;
+        EXPECT_EQ(four.gather_edges, one.gather_edges) << tag;
+        EXPECT_EQ(four.int32_bytes_avoided, one.int32_bytes_avoided) << tag;
+      }
+      EXPECT_GT(one.gather_edges, 0) << tag;
+    }
+  }
+  set_num_threads(saved);
 }
 
 TEST(TablePrinterTest, FormatsAlignedRows) {

@@ -5,6 +5,10 @@
 // bug anywhere in the stack surfaces here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "gnn/binary_gnn.hpp"
 #include "kernels/anybit_mm.hpp"
@@ -94,6 +98,153 @@ TEST_P(PipelineFuzz, AggregationModesAndJumpAgree) {
       EXPECT_EQ(aggregate_1bit(pa, px, ReuseMode::kCrossTile, opt), expect);
     }
   }
+}
+
+/// Adjacency for the row-gather fuzz: each 8-row block is all zero, sparse
+/// random, fully set (whole 8x128 tiles), or sparse with some rows empty.
+MatrixI32 random_adjacency(Rng& rng, i64 m, i64 k) {
+  MatrixI32 a(m, k, 0);
+  for (i64 r0 = 0; r0 < m; r0 += 8) {
+    const u64 shape = rng.next_below(4);
+    const float p = rng.next_float(0.02f, 0.3f);
+    for (i64 i = r0; i < std::min(m, r0 + 8); ++i) {
+      if (shape == 0 || (shape == 3 && rng.next_bool(0.5f))) continue;
+      for (i64 j = 0; j < k; ++j) {
+        a(i, j) = (shape == 2 || rng.next_bool(p)) ? 1 : 0;
+      }
+    }
+  }
+  return a;
+}
+
+/// Every plane word of a packed tensor, padding included.
+std::vector<u32> plane_words(const StackedBitTensor& t) {
+  std::vector<u32> w;
+  for (int b = 0; b < t.bits(); ++b) {
+    const BitMatrix& p = t.plane(b);
+    w.insert(w.end(), p.data(), p.data() + p.bytes() / 4);
+  }
+  return w;
+}
+
+// The row gather against the cross-tile sweep, bit for bit, on every
+// backend: both adjacency layouts (dense with and without a flag map, and
+// tile-CSR), code widths 1-8 (two rounds each), ragged m/k/n, and the int,
+// unfused-into and fused to-bit outputs under every activation and several
+// right shifts. Gather calls execute no tile MMAs, jump exactly the tiles
+// the sweep jumps, and add one code row per set adjacency bit.
+TEST_P(PipelineFuzz, RowGatherMatchesCrossTileOnEveryBackend) {
+  Rng rng(static_cast<u64>(GetParam()) * 65537 + 29);
+  const i64 m = rng.next_in(1, 150);
+  const i64 k = rng.next_in(1, 300);
+  const i64 n = rng.next_in(1, 70);
+  const int s = 1 + GetParam() % 8;
+  const MatrixI32 adj = random_adjacency(rng, m, k);
+  const MatrixI32 x = random_codes(rng, k, n, s, 0.3f);
+  const MatrixI32 expect = matmul_reference(adj, x);
+  u64 edges = 0;
+  for (i64 i = 0; i < adj.size(); ++i) edges += static_cast<u64>(adj.data()[i]);
+
+  const BitMatrix dense = pack_nonzero(adj, BitLayout::kRowMajorK);
+  const TileMap map = build_tile_map(dense);
+  const TileSparseBitMatrix sparse = TileSparseBitMatrix::from_bit_matrix(dense);
+  const auto px = StackedBitTensor::decompose(x, s, BitLayout::kColMajorK);
+  i32 mx = 0;
+  for (i64 i = 0; i < expect.size(); ++i) mx = std::max(mx, expect.data()[i]);
+  const int out_bits = static_cast<int>(rng.next_in(1, 8));
+  const int cal = calibrate_rshift(mx, out_bits);
+
+  for (const tcsim::BackendKind kind : tcsim::all_backends()) {
+    const std::string be = tcsim::backend_name(kind);
+    const auto parity = [&](const std::string& what, const auto& a_bin,
+                            const TileMap* tile_map, const auto& run) {
+      const tcsim::ExecutionContext tile_ctx(kind), gather_ctx(kind);
+      BmmOptions tile_opt;
+      tile_opt.zero_tile_jump = true;
+      tile_opt.tile_map = tile_map;
+      tile_opt.ctx = &tile_ctx;
+      BmmOptions gather_opt = tile_opt;
+      gather_opt.ctx = &gather_ctx;
+      EXPECT_TRUE(run(a_bin, ReuseMode::kRowGather, gather_opt) ==
+                  run(a_bin, ReuseMode::kCrossTile, tile_opt))
+          << what << " on " << be;
+      const tcsim::Counters tc = tile_ctx.counters();
+      const tcsim::Counters gc = gather_ctx.counters();
+      EXPECT_EQ(gc.bmma_ops, 0u) << what << " on " << be;
+      EXPECT_EQ(gc.tiles_jumped, tc.tiles_jumped) << what << " on " << be;
+      EXPECT_EQ(gc.int32_bytes_avoided, tc.int32_bytes_avoided) << what;
+      EXPECT_EQ(gc.gather_edges, edges) << what << " on " << be;
+    };
+    const auto all_outputs = [&](const std::string& layout, const auto& a_bin,
+                                 const TileMap* tile_map) {
+      parity(layout + " int", a_bin, tile_map,
+             [&](const auto& a, ReuseMode mode, const BmmOptions& o) {
+               const MatrixI32 got = aggregate_1bit(a, px, mode, o);
+               EXPECT_EQ(got, expect) << layout << " on " << be;
+               return got;
+             });
+      parity(layout + " unfused", a_bin, tile_map,
+             [&](const auto& a, ReuseMode mode, const BmmOptions& o) {
+               MatrixI32 out(m, n, -1);
+               aggregate_1bit_into(a, px, mode, out, o);
+               return out;
+             });
+      for (const tcsim::Activation act :
+           {tcsim::Activation::kIdentity, tcsim::Activation::kRelu,
+            tcsim::Activation::kRelu6, tcsim::Activation::kHardswish}) {
+        for (const int rshift : {0, cal, cal + 2}) {
+          FusedEpilogue epi;
+          epi.act = act;
+          epi.rshift = rshift;
+          parity(layout + " fused " + tcsim::activation_name(act) + " >>" +
+                     std::to_string(rshift),
+                 a_bin, tile_map,
+                 [&](const auto& a, ReuseMode mode, const BmmOptions& o) {
+                   return plane_words(aggregate_fused_bit(
+                       a, px, out_bits, epi, o, PadPolicy::kOperand128, mode));
+                 });
+        }
+      }
+    };
+    all_outputs("dense", dense, nullptr);
+    all_outputs("dense+map", dense, &map);
+    all_outputs("tile-csr", sparse, nullptr);
+  }
+}
+
+TEST(RowGather, RejectsIneligibleStages) {
+  Rng rng(5);
+  const MatrixI32 adj = random_adjacency(rng, 40, 90);
+  const BitMatrix dense = pack_nonzero(adj, BitLayout::kRowMajorK);
+  const TileSparseBitMatrix sparse = TileSparseBitMatrix::from_bit_matrix(dense);
+  const auto x8 = StackedBitTensor::decompose(random_codes(rng, 90, 5, 8, 0.f),
+                                              8, BitLayout::kColMajorK);
+  const auto x9 = StackedBitTensor::decompose(random_codes(rng, 90, 5, 9, 0.f),
+                                              9, BitLayout::kColMajorK);
+  BmmOptions ok;
+  ok.zero_tile_jump = true;
+  EXPECT_NO_THROW((void)aggregate_1bit(sparse, x8, ReuseMode::kRowGather, ok));
+  EXPECT_THROW((void)aggregate_1bit(sparse, x9, ReuseMode::kRowGather, ok),
+               std::invalid_argument);
+  BmmOptions no_jump = ok;
+  no_jump.zero_tile_jump = false;
+  EXPECT_THROW((void)aggregate_1bit(dense, x8, ReuseMode::kRowGather, no_jump),
+               std::invalid_argument);
+  EXPECT_THROW((void)aggregate_fused_bit(sparse, x8, 4, {}, no_jump,
+                                         PadPolicy::kTile8, ReuseMode::kRowGather),
+               std::invalid_argument);
+  EXPECT_THROW((void)aggregate_fused_bit(sparse, x8, 9, {}, ok,
+                                         PadPolicy::kTile8, ReuseMode::kRowGather),
+               std::invalid_argument);
+  BmmOptions wrap = ok;
+  wrap.allow_overflow = true;
+  EXPECT_THROW((void)aggregate_1bit(dense, x8, ReuseMode::kRowGather, wrap),
+               std::invalid_argument);
+  EXPECT_FALSE(row_gather_applies(4, BmmOptions{}));
+  BmmOptions xor_op = ok;
+  xor_op.op = tcsim::BmmaOp::kXor;
+  EXPECT_FALSE(row_gather_applies(4, xor_op));
+  EXPECT_TRUE(row_gather_applies(8, ok));
 }
 
 TEST_P(PipelineFuzz, BinaryXnorMatchesReference) {

@@ -3,6 +3,8 @@
 // directional agreement between the quantized and fp32 paths at high bits.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hpp"
 #include "gnn/model.hpp"
 #include "graph/generator.hpp"
@@ -100,18 +102,58 @@ TEST(Model, FusedMatchesUnfused) {
 }
 
 TEST(Model, ReuseModesIdentical) {
+  // Every aggregation schedule computes the same integers, so logits match
+  // for GCN and GIN, fused and unfused. The row gather replaces only the
+  // aggregation tile MMAs: it jumps the same tiles and adds one code row per
+  // adjacency bit instead.
   Fixture f;
-  GnnConfig a_cfg = f.config(ModelKind::kClusterGCN, 3);
-  a_cfg.reuse = ReuseMode::kCrossBit;
-  a_cfg.fused_epilogue = false;
-  GnnConfig b_cfg = a_cfg;
-  b_cfg.reuse = ReuseMode::kCrossTile;
-  QgtcModel ma = QgtcModel::create(a_cfg, 17);
-  QgtcModel mb = QgtcModel::create(b_cfg, 17);
-  ma.calibrate(f.adj, f.feats);
-  mb.calibrate(f.adj, f.feats);
-  EXPECT_EQ(ma.forward_quantized(f.adj, f.feats),
-            mb.forward_quantized(f.adj, f.feats));
+  for (const ModelKind kind : {ModelKind::kClusterGCN, ModelKind::kBatchedGIN}) {
+    for (const bool fused : {false, true}) {
+      const std::string tag =
+          std::string(model_name(kind)) + (fused ? " fused" : " unfused");
+      GnnConfig cfg = f.config(kind, 3);
+      cfg.fused_epilogue = fused;
+      MatrixI32 want;
+      ForwardStats tile_stats;
+      for (const ReuseMode mode :
+           {ReuseMode::kCrossTile, ReuseMode::kCrossBit, ReuseMode::kRowGather}) {
+        cfg.reuse = mode;
+        QgtcModel model = QgtcModel::create(cfg, 17);
+        model.calibrate(f.adj, f.feats);
+        EXPECT_EQ(model.agg_plan(0).kernel, mode) << tag;
+        ForwardStats st;
+        const MatrixI32 got = model.forward_quantized(f.adj, f.feats, &st);
+        if (mode == ReuseMode::kCrossTile) {
+          want = got;
+          tile_stats = st;
+          EXPECT_EQ(st.gather_edges, 0) << tag;
+          continue;
+        }
+        EXPECT_EQ(got, want) << tag;
+        if (mode == ReuseMode::kRowGather) {
+          EXPECT_EQ(st.tiles_jumped, tile_stats.tiles_jumped) << tag;
+          EXPECT_LT(st.bmma_ops, tile_stats.bmma_ops) << tag;
+          EXPECT_GT(st.gather_edges, 0) << tag;
+        }
+      }
+    }
+  }
+}
+
+TEST(Model, RowGatherPlannedOnlyWhereExact) {
+  // The plan keeps the tile sweep where the gather would not be exact or
+  // where the config asks for a tile ablation (no zero-tile jumping).
+  const Fixture f;
+  GnnConfig cfg = f.config(ModelKind::kClusterGCN, 8);
+  EXPECT_EQ(QgtcModel::create(cfg, 3).agg_plan(1).kernel, ReuseMode::kRowGather);
+  cfg.zero_tile_jump = false;
+  EXPECT_EQ(QgtcModel::create(cfg, 3).agg_plan(1).kernel, ReuseMode::kCrossTile);
+  cfg = f.config(ModelKind::kBatchedGIN, 16);
+  EXPECT_EQ(QgtcModel::create(cfg, 3).agg_plan(0).kernel, ReuseMode::kCrossTile);
+  cfg = f.config(ModelKind::kBatchedGIN, 8);
+  cfg.weight_bits = 16;  // wrapping accumulators: no int32 bound to rely on
+  EXPECT_EQ(QgtcModel::create(cfg, 3).agg_plan(0).kernel, ReuseMode::kCrossTile);
+  EXPECT_EQ(QgtcModel::create(cfg, 3).upd_plan(0).kernel, ReuseMode::kCrossTile);
 }
 
 TEST(Model, ZeroTileJumpIdentical) {

@@ -154,6 +154,76 @@ TEST(DatasetStore, RejectsEndiannessMismatch) {
   EXPECT_THROW(store::DatasetStore::open(dir.path), std::invalid_argument);
 }
 
+/// Overwrites the POD value at `offset` in `path`.
+template <typename T>
+void poke(const std::string& path, std::streamoff offset, T value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// Byte offset of row_ptr[i] / col_idx[e] in a CSR shard of `num_nodes` rows.
+std::streamoff row_ptr_at(i64 i) {
+  return static_cast<std::streamoff>(sizeof(store::ShardHeader) + i * sizeof(i64));
+}
+std::streamoff col_idx_at(i64 num_nodes, i64 e) {
+  return row_ptr_at(num_nodes + 1) + static_cast<std::streamoff>(e * sizeof(i32));
+}
+
+// Payload guards: a shard whose row_ptr/col_idx would index out of bounds
+// must be rejected at open, not fault later inside a gather. Shard 0 holds
+// nodes [0, 300) of the write_sharded geometry.
+constexpr i64 kShard0Nodes = 300;
+
+TEST(DatasetStore, RejectsShardTruncatedInsideRowPtr) {
+  const Dataset ds = small_dataset();
+  TempStoreDir dir("trunc_rowptr");
+  write_sharded(dir.path, ds);
+  fs::resize_file(dir.path + "/" + store::shard_filename(0),
+                  static_cast<std::uintmax_t>(row_ptr_at(10)));
+  EXPECT_THROW(store::DatasetStore::open(dir.path), std::invalid_argument);
+}
+
+TEST(DatasetStore, RejectsShardTruncatedInsideColIdx) {
+  const Dataset ds = small_dataset();
+  TempStoreDir dir("trunc_colidx");
+  write_sharded(dir.path, ds);
+  const std::string path = dir.path + "/" + store::shard_filename(0);
+  fs::resize_file(path, fs::file_size(path) - sizeof(i32));
+  EXPECT_THROW(store::DatasetStore::open(dir.path), std::invalid_argument);
+}
+
+TEST(DatasetStore, RejectsNonMonotoneRowPtr) {
+  const Dataset ds = small_dataset();
+  TempStoreDir dir("rowptr_order");
+  write_sharded(dir.path, ds);
+  poke<i64>(dir.path + "/" + store::shard_filename(0), row_ptr_at(5),
+            i64{1} << 40);
+  EXPECT_THROW(store::DatasetStore::open(dir.path), std::invalid_argument);
+}
+
+TEST(DatasetStore, RejectsRowPtrBeyondEdgeCount) {
+  const Dataset ds = small_dataset();
+  TempStoreDir dir("rowptr_range");
+  write_sharded(dir.path, ds);
+  poke<i64>(dir.path + "/" + store::shard_filename(0),
+            row_ptr_at(kShard0Nodes), i64{1} << 40);
+  EXPECT_THROW(store::DatasetStore::open(dir.path), std::invalid_argument);
+}
+
+TEST(DatasetStore, RejectsColIdxOutOfRange) {
+  const Dataset ds = small_dataset();
+  for (const i32 bad : {i32{2000}, i32{-1}, i32{0x7fffffff}}) {
+    TempStoreDir dir("colidx_range");
+    write_sharded(dir.path, ds);
+    poke<i32>(dir.path + "/" + store::shard_filename(0),
+              col_idx_at(kShard0Nodes, 3), bad);
+    EXPECT_THROW(store::DatasetStore::open(dir.path), std::invalid_argument)
+        << "col_idx " << bad;
+  }
+}
+
 TEST(DatasetStore, RejectsMissingDirectory) {
   EXPECT_THROW(store::DatasetStore::open("qgtc_test_store_never_written"),
                std::invalid_argument);
