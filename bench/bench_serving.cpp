@@ -2,8 +2,8 @@
 //
 // 1. Parity gate: requests replaying an offline epoch's batch memberships
 //    through the serving pipeline must produce bit-identical logits and
-//    identical substrate counters (bmma_ops, tiles_jumped) on every backend
-//    — the serving layer is a scheduling change, not a numerics change.
+//    identical substrate counters (bmma_ops, tiles_jumped, gather_edges) on
+//    every backend — the serving layer is a scheduling change, not a numerics change.
 //    Exits non-zero on any mismatch.
 // 2. Open-loop Poisson load: per-request ego-graph queries at a target QPS,
 //    reporting p50/p99/p99.9 latency, sustained QPS and the coalescing the
@@ -91,7 +91,8 @@ bool parity_gate(const Dataset& ds, tcsim::BackendKind backend, bool sparse,
   }
   const core::ServingStats st = serving.stats();
   const bool counters_ok =
-      st.bmma_ops == ref.bmma_ops && st.tiles_jumped == ref.tiles_jumped;
+      st.bmma_ops == ref.bmma_ops && st.tiles_jumped == ref.tiles_jumped &&
+      st.gather_edges == ref.gather_edges;
   const bool ok = logits_ok && counters_ok && st.requests_failed == 0;
 
   table.add_row({std::string(tcsim::backend_name(backend)),

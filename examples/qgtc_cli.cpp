@@ -341,6 +341,7 @@ int main(int argc, char** argv) {
                      std::to_string(cs.hits) + "/" + std::to_string(cs.misses)});
     }
     table.add_row({"tile MMAs", std::to_string(st.bmma_ops)});
+    table.add_row({"gathered edges", std::to_string(st.gather_edges)});
     table.add_row({"batcher busy/stall ms", stage_row(st.batcher_stage)});
     table.add_row({"prepare busy/stall ms", stage_row(st.prepare_stage)});
     table.add_row({"ship busy/stall ms", stage_row(st.ship_stage)});

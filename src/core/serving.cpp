@@ -183,6 +183,7 @@ ServingStats ServingEngine::stats() const {
     const tcsim::Counters c = session.counters();
     s.bmma_ops += static_cast<i64>(c.bmma_ops);
     s.tiles_jumped += static_cast<i64>(c.tiles_jumped);
+    s.gather_edges += static_cast<i64>(c.gather_edges);
   }
   return s;
 }

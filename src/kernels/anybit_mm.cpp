@@ -9,13 +9,6 @@
 
 namespace qgtc {
 
-// The row gather reads and writes packed plane words byte by byte (byte k of
-// a line = bits 8k..8k+7), which is the u32 packing only on little-endian
-// hosts.
-static_assert(std::endian::native == std::endian::little,
-              "packed bit planes are addressed bytewise");
-
-
 void check_accumulator_bounds(i64 k, int s_bits, int t_bits) {
   const i64 max_val = k * ((i64{1} << s_bits) - 1) * ((i64{1} << t_bits) - 1);
   QGTC_CHECK(max_val <= i64{INT32_MAX},
@@ -31,7 +24,11 @@ int calibrate_rshift(i32 max_acc, int out_bits) {
 }
 
 bool row_gather_applies(int x_bits, const BmmOptions& opt) {
-  return opt.zero_tile_jump && opt.op == tcsim::BmmaOp::kAnd &&
+  // The gather reads and writes packed plane words byte by byte (byte k of a
+  // line = bits 8k..8k+7), which is the u32 packing only on little-endian
+  // hosts; others keep the tile sweep.
+  return std::endian::native == std::endian::little && opt.zero_tile_jump &&
+         opt.op == tcsim::BmmaOp::kAnd &&
          !opt.allow_overflow && x_bits >= 1 && x_bits <= 8;
 }
 
@@ -457,6 +454,60 @@ void row_gather(const Src& src, const StackedBitTensor& x, i64 m,
   });
 }
 
+/// Requantizes acc[0, n) in place through the shared tcsim::apply_epilogue.
+/// The activation is a template argument so the epilogue's switch folds away
+/// and the loop vectorizes.
+template <tcsim::Activation A>
+void requantize_row(i32* acc, i64 n, const tcsim::EpilogueSpec& spec) {
+  const tcsim::EpilogueSpec s{A, spec.rshift, spec.qmax};
+  for (i64 j = 0; j < n; ++j) acc[j] = tcsim::apply_epilogue(acc[j], s);
+}
+
+/// Row-gather drain (the row form of flush_planes): requantizes one finished
+/// row of `n` values in place (0 <= qmax <= 255, so out_bits <= 8) and
+/// writes bit b of value j to bit j % 8 of planes[b][j / 8]. Assigns whole
+/// bytes; each plane row must hold round_up(n, 8) bits.
+void flush_row_planes(i32* acc, i64 n, const tcsim::EpilogueSpec& spec,
+                      u8* const* planes, int out_bits) {
+  using tcsim::Activation;
+  switch (spec.act) {
+    case Activation::kIdentity:
+      requantize_row<Activation::kIdentity>(acc, n, spec);
+      break;
+    case Activation::kRelu:
+      requantize_row<Activation::kRelu>(acc, n, spec);
+      break;
+    case Activation::kRelu6:
+      requantize_row<Activation::kRelu6>(acc, n, spec);
+      break;
+    case Activation::kHardswish:
+      requantize_row<Activation::kHardswish>(acc, n, spec);
+      break;
+  }
+  // 64 columns at a time: narrow the values to bytes (zero past n), then
+  // per 8 columns an 8x8 bit transpose (three delta swaps) of the u64 whose
+  // byte i is column i leaves plane b's bits in byte b. Byte order is
+  // little-endian, as everywhere in the row gather.
+  for (i64 c0 = 0; c0 < n; c0 += 64) {
+    const i64 cn = std::min<i64>(n - c0, 64);
+    u8 vals[64] = {};
+    for (i64 j = 0; j < cn; ++j) vals[j] = static_cast<u8>(acc[c0 + j]);
+    for (i64 j0 = 0; j0 < cn; j0 += 8) {
+      u64 x;
+      std::memcpy(&x, vals + j0, sizeof(x));
+      u64 t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+      x ^= t ^ (t << 7);
+      t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+      x ^= t ^ (t << 14);
+      t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+      x ^= t ^ (t << 28);
+      for (int b = 0; b < out_bits; ++b) {
+        planes[b][(c0 + j0) / 8] = static_cast<u8>(x >> (8 * b));
+      }
+    }
+  }
+}
+
 /// Fused to-bit row gather: each finished row is requantized through the
 /// shared epilogue and packed straight into its row of every kRowMajorK
 /// output plane, so no int32 activation matrix is materialised (§4.5).
@@ -470,7 +521,6 @@ StackedBitTensor gather_bit_output(const Src& src, const StackedBitTensor& x,
       StackedBitTensor::zeros(m, n, out_bits, BitLayout::kRowMajorK, out_pad);
   const i32 qmax = static_cast<i32>((u32{1} << out_bits) - 1);
   const tcsim::EpilogueSpec spec{epi.act, epi.rshift, qmax};
-  const tcsim::SubstrateBackend& be = resolve_ctx(opt).backend();
   row_gather(src, x, m, opt, [&](i64 r, i32* acc) {
     if (epi.use_bn) {
       for (i64 j = 0; j < n; ++j) acc[j] = apply_bn(acc[j], j, epi);
@@ -479,7 +529,7 @@ StackedBitTensor gather_bit_output(const Src& src, const StackedBitTensor& x,
     for (int b = 0; b < out_bits; ++b) {
       rows[b] = reinterpret_cast<u8*>(out.plane(b).row_words(r));
     }
-    be.flush_row_planes(acc, n, spec, rows, out_bits);
+    flush_row_planes(acc, n, spec, rows, out_bits);
   });
   tcsim::Counters avoided;
   avoided.int32_bytes_avoided =

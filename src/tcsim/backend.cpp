@@ -207,34 +207,6 @@ struct Avx512Kernels {
     for (int v = 0; v < NV; ++v) _mm512_storeu_si512(acc + 16 * v, s[v]);
   }
 
-  /// Identity/ReLU epilogues reduce to clamp(v >> rshift, 0, qmax) once
-  /// qmax >= 0; sixteen values per vector, and one test-mask per plane
-  /// yields that plane's sixteen bits. Other activations return false.
-  static bool flush_row_planes(i32* acc, i64 n, const EpilogueSpec& spec,
-                               u8* const* planes, int out_bits) {
-    if (spec.act != Activation::kIdentity && spec.act != Activation::kRelu) {
-      return false;
-    }
-    const __m128i shift = _mm_cvtsi32_si128(spec.rshift);
-    const __m512i zero = _mm512_setzero_si512();
-    const __m512i qmax = _mm512_set1_epi32(spec.qmax);
-    for (i64 j0 = 0; j0 < n; j0 += 16) {
-      const __mmask16 live =
-          n - j0 >= 16 ? __mmask16{0xFFFF}
-                       : static_cast<__mmask16>((1u << (n - j0)) - 1);
-      __m512i v = _mm512_maskz_loadu_epi32(live, acc + j0);
-      v = _mm512_min_epi32(_mm512_max_epi32(_mm512_sra_epi32(v, shift), zero),
-                           qmax);
-      _mm512_mask_storeu_epi32(acc + j0, live, v);
-      for (int b = 0; b < out_bits; ++b) {
-        const __mmask16 bits =
-            _mm512_test_epi32_mask(v, _mm512_set1_epi32(1 << b));
-        std::memcpy(planes[b] + j0 / 8, &bits, sizeof(bits));
-      }
-    }
-    return true;
-  }
-
   static void add_code_rows(i32* acc, const u8* codes, i64 width,
                             const i32* rows, i64 count) {
     for (i64 j0 = 0; j0 < width; j0 += 64) {
@@ -392,15 +364,6 @@ class BackendImpl final : public SubstrateBackend {
       SubstrateBackend::add_code_rows(acc, codes, width, rows, count);
     }
   }
-  void flush_row_planes(i32* acc, i64 n, const EpilogueSpec& spec,
-                        u8* const* planes, int out_bits) const override {
-    if constexpr (requires {
-                    Kernels::flush_row_planes(acc, n, spec, planes, out_bits);
-                  }) {
-      if (Kernels::flush_row_planes(acc, n, spec, planes, out_bits)) return;
-    }
-    SubstrateBackend::flush_row_planes(acc, n, spec, planes, out_bits);
-  }
 
  private:
   BackendKind kind_;
@@ -501,29 +464,6 @@ void SubstrateBackend::add_code_rows(i32* acc, const u8* codes, i64 width,
   for (i64 t = 0; t < count; ++t) {
     const u8* src = codes + static_cast<i64>(rows[t]) * width;
     for (i64 j = 0; j < width; ++j) acc[j] += static_cast<i32>(src[j]);
-  }
-}
-
-void SubstrateBackend::flush_row_planes(i32* acc, i64 n,
-                                        const EpilogueSpec& spec,
-                                        u8* const* planes, int out_bits) const {
-  for (i64 j = 0; j < n; ++j) acc[j] = apply_epilogue(acc[j], spec);
-  // Eight columns at a time: byte i of x holds column i's value; after an
-  // 8x8 bit transpose (three delta swaps) byte b holds plane b's bits.
-  for (i64 j0 = 0; j0 < n; j0 += 8) {
-    u64 x = 0;
-    for (i64 i = 0; i < std::min<i64>(n - j0, 8); ++i) {
-      x |= static_cast<u64>(static_cast<u32>(acc[j0 + i])) << (8 * i);
-    }
-    u64 t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
-    x ^= t ^ (t << 7);
-    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
-    x ^= t ^ (t << 14);
-    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
-    x ^= t ^ (t << 28);
-    for (int b = 0; b < out_bits; ++b) {
-      planes[b][j0 / 8] = static_cast<u8>(x >> (8 * b));
-    }
   }
 }
 

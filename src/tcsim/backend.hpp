@@ -213,14 +213,6 @@ class SubstrateBackend {
   /// override is bit-identical to the base scalar loop.
   virtual void add_code_rows(i32* acc, const u8* codes, i64 width,
                              const i32* rows, i64 count) const;
-
-  /// Row-gather drain (the row form of flush_planes): requantize one
-  /// finished row of `n` values in place with `spec` (0 <= qmax <= 255, so
-  /// out_bits <= 8) and write the bits into packed byte rows — bit j % 8 of
-  /// planes[b][j / 8] = bit b of value j, for every b < out_bits. Assigns
-  /// whole bytes; each plane row must hold round_up(n, 16) bits.
-  virtual void flush_row_planes(i32* acc, i64 n, const EpilogueSpec& spec,
-                                u8* const* planes, int out_bits) const;
 };
 
 /// Column granularity of the row gather's unpacked code rows (and of the

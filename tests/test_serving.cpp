@@ -169,6 +169,8 @@ TEST(ServingParity, BitIdenticalToOfflineEpochAcrossBackendsAndLayouts) {
       EXPECT_EQ(st.bmma_ops, ref.bmma_ops)
           << "backend=" << tcsim::backend_name(backend) << " sparse=" << sparse;
       EXPECT_EQ(st.tiles_jumped, ref.tiles_jumped);
+      EXPECT_EQ(st.gather_edges, ref.gather_edges);
+      EXPECT_GT(st.gather_edges, 0);
       EXPECT_EQ(st.requests_completed, static_cast<i64>(futures.size()));
       EXPECT_EQ(st.requests_failed, 0);
       EXPECT_EQ(st.batches_dispatched, offline.num_batches());
