@@ -480,10 +480,11 @@ int main(int argc, char** argv) {
                    core::TablePrinter::fmt(q.packed_transfer_seconds * 1e3, 2)});
     table.add_row({"exposed transfer ms",
                    core::TablePrinter::fmt(q.exposed_transfer_seconds * 1e3, 2)});
-    table.add_row({"prepare busy/stall ms", stage_row(q.stage_breakdown.prepare)});
-    table.add_row({"ship busy/stall ms", stage_row(q.stage_breakdown.ship)});
-    table.add_row({"compute busy/stall ms", stage_row(q.stage_breakdown.compute)});
   }
+  // Both modes run the same stage pipeline.
+  table.add_row({"prepare busy/stall ms", stage_row(q.stage_breakdown.prepare)});
+  table.add_row({"ship busy/stall ms", stage_row(q.stage_breakdown.ship)});
+  table.add_row({"compute busy/stall ms", stage_row(q.stage_breakdown.compute)});
   if (cfg.cache_budget_bytes > 0) {
     const double lookups = static_cast<double>(q.cache_hits + q.cache_misses);
     table.add_row({"cache hits/misses/evict per epoch",

@@ -6,9 +6,9 @@
 //      (any-bitwidth, tensor-core substrate underneath).
 //   3. Decode results with to_val / to_float.
 //
-// The old free functions bitMM2Int / bitMM2Bit still work (they delegate to
-// a process-wide default session); the context-taking overloads are
-// deprecated in favour of holding a Session per stream/worker.
+// The free functions bitMM2Int / bitMM2Bit still work: they delegate to a
+// process-wide default session, or run on `BmmOptions::ctx` when it is set.
+// Hold a Session per stream/worker for private counters.
 //
 // Build & run:  ./build/examples/quickstart
 #include <iostream>

@@ -91,7 +91,7 @@ BitTensor mm_bit(const BitTensor& a, const BitTensor& b, int bit_c,
 }  // namespace detail
 
 // The free functions route through the default Session unless the caller
-// pinned a context via opt.ctx (legacy escape hatch, unchanged semantics).
+// pinned a context via opt.ctx.
 
 MatrixI32 bitMM2Int(const BitTensor& a, const BitTensor& b,
                     const BmmOptions& opt) {
@@ -109,28 +109,6 @@ BitTensor bitMM2Bit(const BitTensor& a, const BitTensor& b, int bit_c,
                     const BmmOptions& opt, tcsim::Activation act) {
   if (opt.ctx != nullptr) return detail::mm_bit(a, b, bit_c, act, opt);
   return Session::default_session().mm_bit(a, b, MmOut{bit_c, act}, opt);
-}
-
-MatrixI32 bitMM2Int(const BitTensor& a, const BitTensor& b,
-                    const tcsim::ExecutionContext& ctx, const BmmOptions& opt) {
-  BmmOptions pinned = opt;
-  pinned.ctx = &ctx;
-  return detail::mm_int(a, b, pinned);
-}
-
-MatrixI32 bitMM2Int(const TileSparseBitMatrix& a, const BitTensor& b,
-                    const tcsim::ExecutionContext& ctx, const BmmOptions& opt) {
-  BmmOptions pinned = opt;
-  pinned.ctx = &ctx;
-  return detail::mm_int(a, b, pinned);
-}
-
-BitTensor bitMM2Bit(const BitTensor& a, const BitTensor& b, int bit_c,
-                    const tcsim::ExecutionContext& ctx, const BmmOptions& opt,
-                    tcsim::Activation act) {
-  BmmOptions pinned = opt;
-  pinned.ctx = &ctx;
-  return detail::mm_bit(a, b, bit_c, act, pinned);
 }
 
 }  // namespace qgtc::api

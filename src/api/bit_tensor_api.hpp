@@ -61,9 +61,9 @@ BitTensor mm_bit(const BitTensor& a, const BitTensor& b, int bit_c,
 }  // namespace detail
 
 /// bitMM2Int: C = A x B with int32 output (quantized-code arithmetic).
-/// Thin wrapper over the default api::Session (callers wanting a pinned
-/// backend / private counters construct their own Session — see
-/// api/session.hpp).
+/// Thin wrapper over the default api::Session; a caller that sets `opt.ctx`
+/// runs on that context instead (callers wanting a pinned backend / private
+/// counters per stream construct their own Session — see api/session.hpp).
 MatrixI32 bitMM2Int(const BitTensor& a, const BitTensor& b,
                     const BmmOptions& opt = {});
 
@@ -78,29 +78,6 @@ MatrixI32 bitMM2Int(const TileSparseBitMatrix& a, const BitTensor& b,
 /// BitTensor ready for the next MM (hidden-layer chaining, §4.5). `act` is
 /// the elementwise activation the fused epilogue applies before the clamp.
 BitTensor bitMM2Bit(const BitTensor& a, const BitTensor& b, int bit_c,
-                    const BmmOptions& opt = {},
-                    tcsim::Activation act = tcsim::Activation::kIdentity);
-
-/// Deprecated opt.ctx-overriding overloads, kept as delegating wrappers: the
-/// per-stream handle is now api::Session, which owns the ExecutionContext
-/// instead of threading it through every call site.
-[[deprecated(
-    "construct an api::Session (one per stream/worker) and call "
-    "session.mm_int instead")]]
-MatrixI32 bitMM2Int(const BitTensor& a, const BitTensor& b,
-                    const tcsim::ExecutionContext& ctx,
-                    const BmmOptions& opt = {});
-[[deprecated(
-    "construct an api::Session (one per stream/worker) and call "
-    "session.mm_int instead")]]
-MatrixI32 bitMM2Int(const TileSparseBitMatrix& a, const BitTensor& b,
-                    const tcsim::ExecutionContext& ctx,
-                    const BmmOptions& opt = {});
-[[deprecated(
-    "construct an api::Session (one per stream/worker) and call "
-    "session.mm_bit(a, b, MmOut{bits, act}) instead")]]
-BitTensor bitMM2Bit(const BitTensor& a, const BitTensor& b, int bit_c,
-                    const tcsim::ExecutionContext& ctx,
                     const BmmOptions& opt = {},
                     tcsim::Activation act = tcsim::Activation::kIdentity);
 

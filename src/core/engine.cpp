@@ -4,9 +4,7 @@
 #include <deque>
 
 #include "common/mem.hpp"
-#include "common/timer.hpp"
 #include "core/pipeline.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace qgtc::core {
 
@@ -182,13 +180,53 @@ int epoch_workers(int requested, i64 batches) {
   return static_cast<int>(std::clamp<i64>(requested, 1, std::max<i64>(batches, 1)));
 }
 
-/// Execution-setup stamp shared by both run paths.
-void stamp_execution(EngineStats& stats, const EngineConfig& cfg, int workers) {
-  stats.backend = tcsim::backend_name(cfg.backend);
-  stats.inter_batch_threads = workers;
-  stats.streaming = cfg.mode.streaming();
-  stats.pipeline_depth = cfg.mode.streaming() ? cfg.mode.pipeline_depth : 0;
-  stats.vm_hwm_bytes = vm_hwm_bytes();
+/// Stage-pipeline layout of an engine's epochs.
+StreamEpochConfig epoch_config(const EngineConfig& cfg, i64 batches) {
+  StreamEpochConfig pcfg;
+  pcfg.num_batches = batches;
+  pcfg.depth = cfg.mode.pipeline_depth;
+  pcfg.prepare_workers = epoch_workers(cfg.mode.prepare_threads, batches);
+  pcfg.compute_workers = epoch_workers(cfg.inter_batch_threads, batches);
+  return pcfg;
+}
+
+/// Warm-up epoch (first-touch allocation, workspace arena growth, staging
+/// slot capacity; with a cache budget also the fill epoch), then
+/// `after_warmup()`, then `rounds` timed epochs whose pipeline accounting is
+/// averaged (high-water marks take the max).
+template <typename EpochFn, typename WarmFn>
+StreamEpochStats timed_epochs(int rounds, i64 batches, EpochFn&& epoch,
+                              WarmFn&& after_warmup) {
+  (void)epoch();
+  after_warmup();
+  StreamEpochStats avg;
+  for (int r = 0; r < rounds; ++r) {
+    QGTC_SPAN("engine", "epoch", {{"round", r}, {"batches", batches}});
+    const StreamEpochStats es = epoch();
+    avg.epoch_seconds += es.epoch_seconds;
+    avg.packed_bytes += es.packed_bytes;
+    avg.adj_bytes += es.adj_bytes;
+    avg.wire_seconds += es.wire_seconds;
+    avg.exposed_seconds += es.exposed_seconds;
+    avg.peak_prepared_bytes =
+        std::max(avg.peak_prepared_bytes, es.peak_prepared_bytes);
+    avg.staging_capacity_bytes =
+        std::max(avg.staging_capacity_bytes, es.staging_capacity_bytes);
+    avg.prepare_stage += es.prepare_stage;
+    avg.ship_stage += es.ship_stage;
+    avg.compute_stage += es.compute_stage;
+  }
+  avg.epoch_seconds /= rounds;
+  avg.packed_bytes /= rounds;
+  avg.adj_bytes /= rounds;
+  avg.wire_seconds /= rounds;
+  avg.exposed_seconds /= rounds;
+  for (obs::StageBreakdown* st :
+       {&avg.prepare_stage, &avg.ship_stage, &avg.compute_stage}) {
+    st->busy_seconds /= rounds;
+    st->stall_seconds /= rounds;
+  }
+  return avg;
 }
 }  // namespace
 
@@ -201,124 +239,79 @@ transfer::PackedSubgraph pack_prepared_batch(const QgtcEngine::BatchData& bd,
              : transfer::pack_batch(bd.adj, bd.x_planes, slot, pcie);
 }
 
+QgtcEngine::StreamItem QgtcEngine::batch_item(i64 i, bool fp32) const {
+  if (!cfg_.mode.streaming()) {
+    return {data_[static_cast<std::size_t>(i)], /*resident=*/true};
+  }
+  StreamItem item;
+  if (!fp32) {
+    item.bd = prepare_batch(i, /*build_fp32_csr=*/false, &item.resident);
+    return item;
+  }
+  // The fp32 baseline builds only what it reads and does not consult the
+  // BatchCache: prepared-batch reuse is this system's optimisation, not the
+  // baseline's.
+  const SubgraphBatch& b = batches_[static_cast<std::size_t>(i)];
+  auto bd = std::make_shared<BatchData>();
+  bd->local = build_batch_csr(graph_, b, /*add_self_loops=*/true);
+  bd->features = features_.gather(b.nodes);
+  item.bd = std::move(bd);
+  return item;
+}
+
+EngineStats QgtcEngine::epoch_stats(const StreamEpochConfig& pcfg,
+                                    const StreamEpochStats& es) const {
+  EngineStats stats;
+  stats.batches = num_batches();
+  for (const SubgraphBatch& b : batches_) stats.nodes += b.size();
+  stats.forward_seconds = es.epoch_seconds;
+  stats.exposed_transfer_seconds = es.exposed_seconds;
+  stats.peak_prepared_bytes = es.peak_prepared_bytes;
+  if (!cfg_.mode.streaming()) {
+    // Resident items add nothing to the pipeline; the whole epoch is live.
+    for (const BatchRef& bd : data_) {
+      stats.peak_prepared_bytes += bd->prepared_bytes();
+    }
+  }
+  stats.staging_capacity_bytes = es.staging_capacity_bytes;
+  stats.stage_breakdown = {es.prepare_stage, es.ship_stage, es.compute_stage};
+  stats.backend = tcsim::backend_name(cfg_.backend);
+  stats.inter_batch_threads = pcfg.compute_workers;
+  stats.streaming = cfg_.mode.streaming();
+  stats.pipeline_depth = cfg_.mode.streaming() ? cfg_.mode.pipeline_depth : 0;
+  stats.prepare_threads = pcfg.prepare_workers;
+  stats.vm_hwm_bytes = vm_hwm_bytes();
+  return stats;
+}
+
 EngineStats QgtcEngine::run_quantized(int rounds,
                                       std::vector<MatrixI32>* logits_out) {
   QGTC_CHECK(rounds >= 1, "rounds must be >= 1");
   if (logits_out != nullptr) {
     logits_out->assign(static_cast<std::size_t>(num_batches()), MatrixI32{});
   }
-  return cfg_.mode.streaming() ? run_quantized_streaming(rounds, logits_out)
-                        : run_quantized_precomputed(rounds, logits_out);
-}
+  const StreamEpochConfig pcfg = epoch_config(cfg_, num_batches());
 
-EngineStats QgtcEngine::run_quantized_precomputed(
-    int rounds, std::vector<MatrixI32>* logits_out) {
-  EngineStats stats;
-  stats.batches = num_batches();
-  const int workers = epoch_workers(cfg_.inter_batch_threads, num_batches());
-
-  // One private-counter context per worker. Every batch's substrate
+  // One private-counter context per compute worker. Every batch's substrate
   // accounting lands in exactly one context; the post-epoch merge is a sum
   // over contexts, so totals are independent of which worker ran which
-  // batch (and of `workers` itself).
+  // batch (and of the worker count itself).
   std::deque<tcsim::ExecutionContext> ctxs;
-  for (int w = 0; w < workers; ++w) {
-    ctxs.emplace_back(cfg_.backend, /*private_counters=*/true);
-  }
-  const auto epoch = [&] {
-    parallel_for_workers(0, num_batches(), workers, [&](i64 i, int w) {
-      QGTC_SPAN("compute", "batch", {{"batch", i}, {"worker", w}});
-      const BatchData& bd = *data_[static_cast<std::size_t>(i)];
-      tcsim::ExecutionContext& ctx = ctxs[static_cast<std::size_t>(w)];
-      MatrixI32 logits =
-          cfg_.mode.sparse_adj()
-              ? model_.forward_prepared(bd.adj_tiles, bd.x_planes,
-                                        /*stats=*/nullptr, &ctx)
-              : model_.forward_prepared(bd.adj, &bd.tile_map, bd.x_planes,
-                                        /*stats=*/nullptr, &ctx);
-      if (logits_out != nullptr) {
-        (*logits_out)[static_cast<std::size_t>(i)] = std::move(logits);
-      }
-    });
-  };
-
-  // Warm-up epoch (first-touch allocation, per-worker arena growth).
-  epoch();
-  for (auto& ctx : ctxs) ctx.reset_counters();
-  const store::BatchCacheStats cache0 = cache_.stats();
-  const i64 bytes0 = prepare_bytes_read();
-
-  Timer t;
-  for (int r = 0; r < rounds; ++r) {
-    QGTC_SPAN("engine", "epoch", {{"round", r}, {"batches", stats.batches}});
-    epoch();
-  }
-  stats.forward_seconds = t.seconds() / rounds;
-  stamp_cache_stats(stats, cache0, bytes0, rounds);
-
-  for (const BatchRef& bd : data_) {
-    stats.nodes += bd->batch.size();
-    stats.peak_prepared_bytes += bd->prepared_bytes();  // whole epoch resident
-  }
-  tcsim::Counters total;
-  for (const auto& ctx : ctxs) total += ctx.counters();
-  stats.tiles_jumped = static_cast<i64>(total.tiles_jumped) / rounds;
-  stats.bmma_ops = static_cast<i64>(total.bmma_ops) / rounds;
-  stats.gather_edges = static_cast<i64>(total.gather_edges) / rounds;
-  stats.epilogue_fused_layers = model_.fused_stage_count();
-  stats.int32_bytes_avoided = static_cast<i64>(total.int32_bytes_avoided) / rounds;
-  stamp_execution(stats, cfg_, workers);
-  return stats;
-}
-
-EngineStats QgtcEngine::run_quantized_streaming(
-    int rounds, std::vector<MatrixI32>* logits_out) {
-  EngineStats stats;
-  stats.batches = num_batches();
-  const int workers = epoch_workers(cfg_.inter_batch_threads, num_batches());
-  const int preparers = epoch_workers(cfg_.mode.prepare_threads, num_batches());
-  stats.prepare_threads = preparers;
-
-  std::deque<tcsim::ExecutionContext> ctxs;
-  for (int w = 0; w < workers; ++w) {
+  for (int w = 0; w < pcfg.compute_workers; ++w) {
     ctxs.emplace_back(cfg_.backend, /*private_counters=*/true);
   }
 
   const transfer::PcieModel pcie;
-  StreamEpochConfig pcfg;
-  pcfg.num_batches = num_batches();
-  pcfg.depth = cfg_.mode.pipeline_depth;
-  pcfg.prepare_workers = preparers;
-  pcfg.compute_workers = workers;
   // The ring outlives the per-epoch pipeline so the warm-up epoch grows the
   // staging slots once and timed epochs reuse their capacity.
   transfer::StagingRing ring(2);
-
-  // A pipeline item is a shared ref into the cache (or a freshly-built
-  // batch); `cached` steers the ship stage — a hit's payload is already
-  // device-resident, so nothing is packed or charged to the wire.
-  struct StreamItem {
-    BatchRef bd;
-    bool cached = false;
-  };
   const auto epoch = [&] {
     return run_stream_epoch<StreamItem>(
-        pcfg, ring,
-        /*prepare=*/
-        [&](i64 i) {
-          StreamItem item;
-          item.bd = prepare_batch(i, /*build_fp32_csr=*/false, &item.cached);
-          return item;
-        },
-        /*bytes=*/
-        [](const StreamItem& item) {
-          // Cache hits add no pipeline residency beyond the cache itself
-          // (reported separately as cache_resident_bytes).
-          return item.cached ? 0 : item.bd->prepared_bytes();
-        },
+        pcfg, ring, /*prepare=*/[&](i64 i) { return batch_item(i); },
+        /*bytes=*/[](const StreamItem& item) { return item.pipeline_bytes(); },
         /*ship=*/
         [&](StreamItem& item, transfer::StagingBuffer& slot) {
-          if (item.cached) return transfer::resident_reuse();
+          if (item.resident) return transfer::resident_reuse();
           return pack_prepared_batch(*item.bd, cfg_.mode.sparse_adj(), slot,
                                      pcie);
         },
@@ -338,45 +331,19 @@ EngineStats QgtcEngine::run_quantized_streaming(
         });
   };
 
-  // Warm-up epoch (arena growth, staging-slot capacity, OS page faults),
-  // mirroring the precomputed timing protocol. With a cache budget this is
-  // also the fill epoch: timed rounds hit whatever it inserted.
-  (void)epoch();
-  for (auto& ctx : ctxs) ctx.reset_counters();
-  const store::BatchCacheStats cache0 = cache_.stats();
-  const i64 bytes0 = prepare_bytes_read();
+  store::BatchCacheStats cache0;
+  i64 bytes0 = 0;
+  const StreamEpochStats es = timed_epochs(rounds, num_batches(), epoch, [&] {
+    for (auto& ctx : ctxs) ctx.reset_counters();
+    cache0 = cache_.stats();
+    bytes0 = prepare_bytes_read();
+  });
 
-  for (int r = 0; r < rounds; ++r) {
-    QGTC_SPAN("engine", "epoch", {{"round", r}, {"batches", stats.batches}});
-    const StreamEpochStats es = epoch();
-    stats.forward_seconds += es.epoch_seconds;
-    stats.packed_bytes += es.packed_bytes;
-    stats.adj_bytes += es.adj_bytes;
-    stats.packed_transfer_seconds += es.wire_seconds;
-    stats.exposed_transfer_seconds += es.exposed_seconds;
-    stats.peak_prepared_bytes =
-        std::max(stats.peak_prepared_bytes, es.peak_prepared_bytes);
-    stats.staging_capacity_bytes =
-        std::max(stats.staging_capacity_bytes, es.staging_capacity_bytes);
-    stats.stage_breakdown.prepare += es.prepare_stage;
-    stats.stage_breakdown.ship += es.ship_stage;
-    stats.stage_breakdown.compute += es.compute_stage;
-  }
-  stats.forward_seconds /= rounds;
-  stats.packed_bytes /= rounds;
-  stats.adj_bytes /= rounds;
-  stats.packed_transfer_seconds /= rounds;
-  stats.exposed_transfer_seconds /= rounds;
-  const auto avg_stage = [&](obs::StageBreakdown& s) {
-    s.busy_seconds /= rounds;
-    s.stall_seconds /= rounds;
-  };
-  avg_stage(stats.stage_breakdown.prepare);
-  avg_stage(stats.stage_breakdown.ship);
-  avg_stage(stats.stage_breakdown.compute);
+  EngineStats stats = epoch_stats(pcfg, es);
+  stats.packed_bytes = es.packed_bytes;
+  stats.adj_bytes = es.adj_bytes;
+  stats.packed_transfer_seconds = es.wire_seconds;
   stamp_cache_stats(stats, cache0, bytes0, rounds);
-
-  for (const SubgraphBatch& b : batches_) stats.nodes += b.size();
   tcsim::Counters total;
   for (const auto& ctx : ctxs) total += ctx.counters();
   stats.tiles_jumped = static_cast<i64>(total.tiles_jumped) / rounds;
@@ -384,118 +351,40 @@ EngineStats QgtcEngine::run_quantized_streaming(
   stats.gather_edges = static_cast<i64>(total.gather_edges) / rounds;
   stats.epilogue_fused_layers = model_.fused_stage_count();
   stats.int32_bytes_avoided = static_cast<i64>(total.int32_bytes_avoided) / rounds;
-  stamp_execution(stats, cfg_, workers);
   return stats;
 }
 
 EngineStats QgtcEngine::run_fp32(int rounds) {
+  // The DGL-substitute baseline rides the same stage pipeline and item
+  // source as the quantized path, so the comparison stays symmetric: both
+  // pay the pipeline's coordination costs and, when streaming, both charge
+  // their transfer model inline.
   QGTC_CHECK(rounds >= 1, "rounds must be >= 1");
-  if (cfg_.mode.streaming()) return run_fp32_streaming(rounds);
-  EngineStats stats;
-  stats.batches = num_batches();
-  const int workers = epoch_workers(cfg_.inter_batch_threads, num_batches());
-  stats.inter_batch_threads = workers;
-  stats.streaming = false;
-  const auto epoch = [&] {
-    parallel_for_workers(0, num_batches(), workers, [&](i64 i, int) {
-      const BatchData& bd = *data_[static_cast<std::size_t>(i)];
-      (void)model_.forward_fp32(bd.local, bd.features);
-    });
-  };
-  epoch();
-  Timer t;
-  for (int r = 0; r < rounds; ++r) epoch();
-  stats.forward_seconds = t.seconds() / rounds;
-  for (const SubgraphBatch& b : batches_) stats.nodes += b.size();
-  return stats;
-}
-
-EngineStats QgtcEngine::run_fp32_streaming(int rounds) {
-  // The DGL-substitute baseline rides the SAME staged executor as the
-  // quantized path (prepare workers -> ship -> compute workers over bounded
-  // queues), so the comparison stays symmetric: both pay the pipeline's
-  // coordination costs and both charge their transfer model inline. It does
-  // NOT consult the BatchCache — prepared-batch reuse is this system's
-  // optimisation, not the baseline's.
-  EngineStats stats;
-  stats.batches = num_batches();
-  const int workers = epoch_workers(cfg_.inter_batch_threads, num_batches());
-  const int preparers =
-      epoch_workers(cfg_.mode.prepare_threads, num_batches());
-  stats.inter_batch_threads = workers;
-  stats.streaming = true;
-  stats.pipeline_depth = cfg_.mode.pipeline_depth;
-  stats.prepare_threads = preparers;
-
+  const StreamEpochConfig pcfg = epoch_config(cfg_, num_batches());
   const transfer::PcieModel pcie;
-  StreamEpochConfig pcfg;
-  pcfg.num_batches = num_batches();
-  pcfg.depth = cfg_.mode.pipeline_depth;
-  pcfg.prepare_workers = preparers;
-  pcfg.compute_workers = workers;
   transfer::StagingRing ring(2);
-
-  struct Fp32Item {
-    CsrGraph local;
-    MatrixF features;
-  };
   const auto epoch = [&] {
-    return run_stream_epoch<Fp32Item>(
+    return run_stream_epoch<StreamItem>(
         pcfg, ring,
-        /*prepare=*/
-        [&](i64 i) {
-          const SubgraphBatch& b = batches_[static_cast<std::size_t>(i)];
-          Fp32Item item;
-          item.local = build_batch_csr(graph_, b, /*add_self_loops=*/true);
-          item.features = features_.gather(b.nodes);
-          return item;
-        },
-        /*bytes=*/
-        [](const Fp32Item& item) {
-          return item.features.size() * static_cast<i64>(sizeof(float)) +
-                 static_cast<i64>(item.local.row_ptr().size() * sizeof(i64)) +
-                 static_cast<i64>(item.local.col_idx().size() * sizeof(i32));
-        },
+        /*prepare=*/[&](i64 i) { return batch_item(i, /*fp32=*/true); },
+        /*bytes=*/[](const StreamItem& item) { return item.pipeline_bytes(); },
         /*ship=*/
-        [&](Fp32Item& item, transfer::StagingBuffer&) {
-          // Modelled dense fp32 transfer (adjacency + standalone embedding),
-          // charged inline; no staging copy — the baseline has no compound
-          // packed object to build.
-          return transfer::dense_fp32_baseline(item.features.rows(),
+        [&](StreamItem& item, transfer::StagingBuffer&) {
+          // Modelled dense fp32 transfer (adjacency + standalone embedding);
+          // no staging copy — the baseline has no compound packed object.
+          if (item.resident) return transfer::resident_reuse();
+          return transfer::dense_fp32_baseline(item.bd->features.rows(),
                                                spec_.feature_dim, pcie);
         },
         /*compute=*/
-        [&](const Fp32Item& item, i64, int) {
-          (void)model_.forward_fp32(item.local, item.features);
+        [&](const StreamItem& item, i64, int) {
+          (void)model_.forward_fp32(item.bd->local, item.bd->features);
         });
   };
-
-  (void)epoch();  // warm-up, mirroring the quantized timing protocol
-  for (int r = 0; r < rounds; ++r) {
-    const StreamEpochStats es = epoch();
-    stats.forward_seconds += es.epoch_seconds;
-    stats.dense_bytes += es.packed_bytes;
-    stats.dense_transfer_seconds += es.wire_seconds;
-    stats.exposed_transfer_seconds += es.exposed_seconds;
-    stats.peak_prepared_bytes =
-        std::max(stats.peak_prepared_bytes, es.peak_prepared_bytes);
-    stats.stage_breakdown.prepare += es.prepare_stage;
-    stats.stage_breakdown.ship += es.ship_stage;
-    stats.stage_breakdown.compute += es.compute_stage;
-  }
-  stats.forward_seconds /= rounds;
-  stats.dense_bytes /= rounds;
-  stats.dense_transfer_seconds /= rounds;
-  stats.exposed_transfer_seconds /= rounds;
-  const auto avg_stage = [&](obs::StageBreakdown& s) {
-    s.busy_seconds /= rounds;
-    s.stall_seconds /= rounds;
-  };
-  avg_stage(stats.stage_breakdown.prepare);
-  avg_stage(stats.stage_breakdown.ship);
-  avg_stage(stats.stage_breakdown.compute);
-  for (const SubgraphBatch& b : batches_) stats.nodes += b.size();
-  stats.vm_hwm_bytes = vm_hwm_bytes();
+  const StreamEpochStats es = timed_epochs(rounds, num_batches(), epoch, [] {});
+  EngineStats stats = epoch_stats(pcfg, es);
+  stats.dense_bytes = es.packed_bytes;
+  stats.dense_transfer_seconds = es.wire_seconds;
   return stats;
 }
 
@@ -511,8 +400,11 @@ EngineStats QgtcEngine::transfer_accounting() const {
   // object, shipping the *prepared* input planes byte-for-byte (the host
   // quantizes and decomposes exactly once, in prepare_batch — nothing is
   // re-derived here). Sparse mode ships the tile-CSR instead of the dense
-  // bit plane.
-  const auto account = [&](const BatchData& bd) {
+  // bit plane. Batches come from the epoch's item source: streaming engines
+  // hold one batch at a time (and reuse what a cache budget kept).
+  for (i64 i = 0; i < num_batches(); ++i) {
+    const StreamItem item = batch_item(i);
+    const BatchData& bd = *item.bd;
     const auto packed = pack_prepared_batch(bd, cfg_.mode.sparse_adj(), staging, pcie);
     stats.packed_bytes += packed.total_bytes;
     stats.packed_transfer_seconds += packed.modeled_seconds;
@@ -522,16 +414,6 @@ EngineStats QgtcEngine::transfer_accounting() const {
         bd.batch.size(), spec_.feature_dim, pcie);
     stats.dense_bytes += dense.total_bytes;
     stats.dense_transfer_seconds += dense.modeled_seconds;
-  };
-  if (cfg_.mode.streaming()) {
-    // One batch resident at a time — accounting stays inside the streaming
-    // memory budget (the fp32-only CSR is not part of the packed payload).
-    // With a cache budget, batches a prior run inserted are not re-prepared.
-    for (i64 i = 0; i < num_batches(); ++i) {
-      account(*prepare_batch(i, /*build_fp32_csr=*/false));
-    }
-  } else {
-    for (const BatchRef& bd : data_) account(*bd);
   }
   stamp_cache_stats(stats, cache0, bytes0, /*rounds=*/1);
   return stats;

@@ -3,19 +3,22 @@
 // transfer -> per-batch quantized GNN inference on the tensor-core
 // substrate, with the fp32 DGL-substitute path available for comparison.
 //
-// Two execution modes share one bit-identical per-batch prepare path
-// (`prepare_batch_data` + `QgtcModel::prepare_input`):
+// Every epoch, in either residency mode, flows through the one three-stage
+// prepare/ship/compute pipeline (`core/pipeline.hpp`), whose compute stage
+// is the OpenMP worker team. The modes share one bit-identical per-batch
+// prepare path (`prepare_batch_data` + `QgtcModel::prepare_input`) and
+// differ only in the pipeline's item source:
 //
-// * **Precomputed** (legacy, default): every batch's adjacency tiles, dense
-//   plane, local CSR, fp32 features and quantized planes are materialised up
-//   front (untimed preprocessing, O(epoch) resident); reported inference
-//   time covers the quantized forward pass only, and host->device transfer
-//   is accounted post-hoc via `transfer_accounting()` — the paper's §6
-//   timing protocol.
-// * **Streaming** (`EngineConfig::streaming`): one epoch flows through the
-//   three-stage prepare/ship/compute pipeline (`core/pipeline.hpp`) with
-//   bounded queues, so peak memory is O(pipeline_depth) batches and the
-//   PCIe model is charged inline on the timed path, with overlap accounting
+// * **Precomputed** (default): every batch's adjacency tiles, dense plane,
+//   local CSR, fp32 features and quantized planes are materialised at
+//   construction (untimed preprocessing, O(epoch) resident). The prepare
+//   stage hands over the resident batch and ship charges nothing, so the
+//   timed epoch covers the forward pass only; host->device transfer is
+//   accounted post-hoc via `transfer_accounting()` — the paper's §6 timing
+//   protocol.
+// * **Streaming**: batches are prepared lazily inside the pipeline, so peak
+//   memory is O(pipeline_depth) batches, and ship charges the PCIe model
+//   inline on the timed path, with overlap accounting
 //   (`exposed_transfer_seconds`). Logits, `bmma_ops`, `tiles_jumped` and
 //   `nodes` are bit-identical to precomputed mode in every backend ×
 //   adjacency-layout combination.
@@ -34,20 +37,24 @@
 
 namespace qgtc::core {
 
+struct StreamEpochConfig;
+struct StreamEpochStats;
+
 /// Run-mode knobs collapsed into one documented object — every constructor
 /// of an engine config (CLI, autotuner, tests, serving layer) picks an epoch
 /// execution discipline and an adjacency layout the same way, instead of the
 /// old `streaming` / `sparse_adj` boolean sprawl.
 struct RunMode {
-  /// Epoch execution discipline.
+  /// Epoch residency. Both run on the same stage pipeline; this picks only
+  /// where a batch's data comes from and whether its bytes are shipped.
   enum class Epoch {
-    /// Materialise every batch up front (untimed preprocessing, O(epoch)
-    /// resident) — the paper's §6 timing protocol.
+    /// Materialise every batch at construction (untimed preprocessing,
+    /// O(epoch) resident); epochs ship nothing — the paper's §6 timing
+    /// protocol.
     kPrecomputed,
-    /// Batches are prepared lazily and flow through the bounded
-    /// prepare/ship/compute pipeline: O(pipeline_depth) resident, PCIe model
-    /// charged inline. Datasets larger than the precompute budget become a
-    /// config knob, not a crash.
+    /// Batches are prepared lazily inside the pipeline: O(pipeline_depth)
+    /// resident, PCIe model charged inline. Datasets larger than the
+    /// precompute budget become a config knob, not a crash.
     kStreaming,
   };
   /// Batch-adjacency storage / scheduling / transfer layout.
@@ -62,10 +69,10 @@ struct RunMode {
 
   Epoch epoch = Epoch::kPrecomputed;
   Adjacency adjacency = Adjacency::kDenseJump;
-  /// Streaming only: capacity of each inter-stage queue — the peak-memory
+  /// Capacity of each inter-stage queue — in streaming mode the peak-memory
   /// bound is ~(2*depth + workers) live batches.
   int pipeline_depth = 2;
-  /// Streaming only: prepare-stage workers (host-side batch construction).
+  /// Prepare-stage workers (host-side batch construction when streaming).
   int prepare_threads = 1;
 
   [[nodiscard]] bool streaming() const { return epoch == Epoch::kStreaming; }
@@ -89,10 +96,10 @@ struct EngineConfig {
   u64 seed = 3;
   /// Substrate backend every kernel of the forward pass executes on.
   tcsim::BackendKind backend = tcsim::default_backend();
-  /// Partition-batches executed concurrently by run_quantized / run_fp32
-  /// (each worker owns a private ExecutionContext; counters and stats merge
-  /// deterministically). 1 = the sequential legacy schedule. In streaming
-  /// mode this is the compute-stage worker count.
+  /// Partition-batches executed concurrently by run_quantized / run_fp32:
+  /// the pipeline's compute-stage OpenMP team, capped by
+  /// omp_get_max_threads() (each worker owns a private ExecutionContext;
+  /// counters and stats merge deterministically). 1 = one batch at a time.
   int inter_batch_threads = 1;
   /// Epoch execution discipline + adjacency layout (see RunMode).
   RunMode mode;
@@ -163,10 +170,10 @@ struct EngineStats {
   // Total mmap'd store bytes (feature chunks + CSR shards); 0 for in-core
   // engines.
   i64 mapped_bytes = 0;
-  // Streaming mode: per-stage busy/stall decomposition of the pipeline
-  // (summed over each stage's workers, averaged over rounds). All zeros in
-  // precomputed mode, which has no inter-stage queues to stall on. This is
-  // the signal the adaptive-depth / worker-resizing roadmap items consume:
+  // Per-stage busy/stall decomposition of the pipeline (summed over each
+  // stage's workers, averaged over rounds), in both modes; in precomputed
+  // mode prepare and ship only hand resident batches on. This is the signal
+  // the adaptive-depth / worker-resizing roadmap items consume:
   // a stalling prepare stage wants more depth or fewer preparers; a
   // stalling compute stage means prepare or ship is the straggler.
   struct StageBreakdownSet {
@@ -217,10 +224,10 @@ class QgtcEngine {
   /// rebuilding partitions, batches or the model (the backend-sweep bench).
   void set_execution(tcsim::BackendKind backend, int inter_batch_threads);
 
-  /// Retunes the streaming pipeline's queue depth for subsequent runs (the
-  /// online adaptive-depth hook the sharded coordinator drives from stage
-  /// stall telemetry). No effect on results — depth only bounds residency
-  /// and overlap. Precomputed-mode engines accept and ignore it.
+  /// Retunes the pipeline's queue depth for subsequent runs (the online
+  /// adaptive-depth hook the sharded coordinator drives from stage stall
+  /// telemetry). No effect on results — depth only bounds residency and
+  /// overlap, and precomputed batches are resident whatever the depth.
   void set_pipeline_depth(int depth);
 
   /// Quantized QGTC inference over every batch, `rounds` epochs averaged.
@@ -315,11 +322,27 @@ class QgtcEngine {
  private:
   void init();
 
-  EngineStats run_quantized_precomputed(int rounds,
-                                        std::vector<MatrixI32>* logits_out);
-  EngineStats run_quantized_streaming(int rounds,
-                                      std::vector<MatrixI32>* logits_out);
-  EngineStats run_fp32_streaming(int rounds);
+  /// A pipeline item: one batch's prepared data. `resident` marks data
+  /// already on the device — a precomputed batch or a BatchCache hit — which
+  /// adds no pipeline residency and ships nothing (transfer::resident_reuse).
+  struct StreamItem {
+    BatchRef bd;
+    bool resident = false;
+    [[nodiscard]] i64 pipeline_bytes() const {
+      return resident ? 0 : bd->prepared_bytes();
+    }
+  };
+
+  /// The item source: the one step of an epoch that depends on RunMode::
+  /// Epoch. Precomputed engines hand over the resident batch; streaming
+  /// engines prepare it (quantized: through the BatchCache; `fp32`: only the
+  /// local CSR and features, uncached).
+  [[nodiscard]] StreamItem batch_item(i64 i, bool fp32 = false) const;
+
+  /// Stats both forward paths report alike: batches, nodes, execution setup
+  /// and the round-averaged accounting `es` of epochs laid out as `pcfg`.
+  [[nodiscard]] EngineStats epoch_stats(const StreamEpochConfig& pcfg,
+                                        const StreamEpochStats& es) const;
 
   /// Stamps the timed-section cache/store deltas into `stats`.
   void stamp_cache_stats(EngineStats& stats,
@@ -334,7 +357,7 @@ class QgtcEngine {
   store::FeatureSource features_;
   gnn::QgtcModel model_;
   std::vector<SubgraphBatch> batches_;
-  std::vector<BatchRef> data_;  // precomputed mode only
+  std::vector<BatchRef> data_;  // precomputed mode only: the resident epoch
   /// Keyed by membership + this fingerprint (quantization/layout config).
   u64 cache_fingerprint_ = 0;
   mutable store::BatchCache<BatchData> cache_;

@@ -4,11 +4,17 @@
 //   prepare (P workers) --[BoundedQueue, depth]--> ship (1 worker)
 //        --[BoundedQueue, depth]--> compute (C workers)
 //
-// *prepare* builds a batch's data lazily from the global CSR + features,
-// *ship* packs it into a double-buffered StagingRing slot and charges the
-// PcieModel inline (on the timed path), *compute* runs the quantized forward
-// pass. Peak resident memory is O(depth) prepared batches instead of
-// O(epoch): a full prep queue blocks the producers until compute drains.
+// *prepare* hands over a batch's data (built lazily from the global CSR +
+// features, or a ref to a resident batch), *ship* packs it into a
+// double-buffered StagingRing slot and charges the PcieModel inline (on the
+// timed path), *compute* runs the forward pass. Peak resident memory is
+// O(depth) prepared batches instead of O(epoch): a full prep queue blocks the
+// producers until compute drains.
+//
+// Prepare and ship run on std::threads; compute is an OpenMP team on the
+// calling thread, so kernel-level OpenMP regions inside a compute worker are
+// nested (inactive) and the thread-local kernel workspaces and the OpenMP
+// pool stay warm across epochs.
 //
 // The GPU analogy (see DESIGN.md substitution table): prepare workers are
 // the host-side DataLoader threads, the ship worker is the copy engine
@@ -33,6 +39,7 @@
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parallel/parallel_for.hpp"
 #include "transfer/packing.hpp"
 
 namespace qgtc::core {
@@ -189,6 +196,8 @@ struct StreamEpochConfig {
   /// ~2*depth + workers (both queues full + items held by stage hands).
   int depth = 2;
   int prepare_workers = 1;
+  /// Size of the compute stage's OpenMP team, clamped to
+  /// omp_get_max_threads() like parallel_for_workers.
   int compute_workers = 1;
 };
 
@@ -228,11 +237,13 @@ struct StreamEpochStats {
 ///   ship(item, slot)      -> PackedSubgraph  pack into a staging slot
 ///   compute(item, i, w)   -> void            forward pass on worker w
 ///
-/// Item indices are handed to prepare in ascending order but may complete —
-/// and therefore ship and compute — out of order; callers must not depend on
-/// batch execution order (the engine's counters and logits are index-keyed).
-/// If any stage throws, both queues abort, every worker unwinds, and the
-/// first exception is rethrown here after all threads joined.
+/// Compute worker ids are dense in [0, min(compute_workers,
+/// omp_get_max_threads())). Item indices are handed to prepare in ascending
+/// order but may complete — and therefore ship and compute — out of order;
+/// callers must not depend on batch execution order (the engine's counters
+/// and logits are index-keyed). If any stage throws, both queues abort, every
+/// worker unwinds, and the first exception is rethrown here after all
+/// threads joined.
 template <typename Item, typename PrepareFn, typename BytesFn,
           typename ShipFn, typename ComputeFn>
 StreamEpochStats run_stream_epoch(const StreamEpochConfig& cfg,
@@ -290,6 +301,9 @@ StreamEpochStats run_stream_epoch(const StreamEpochConfig& cfg,
   };
 
   Timer epoch_timer;
+  // The calling thread computes, so the last preparer to finish ends the
+  // stream (lets the ship stage drain and close ship_q).
+  std::atomic<int> preparers_left{cfg.prepare_workers};
   std::vector<std::thread> prepare_threads;
   prepare_threads.reserve(static_cast<std::size_t>(cfg.prepare_workers));
   for (int p = 0; p < cfg.prepare_workers; ++p) {
@@ -323,6 +337,9 @@ StreamEpochStats run_stream_epoch(const StreamEpochConfig& cfg,
         fail(std::current_exception());
       }
       merge_stage(stats.prepare_stage, local);
+      if (preparers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        prep_q.close();
+      }
     });
   }
 
@@ -361,41 +378,38 @@ StreamEpochStats run_stream_epoch(const StreamEpochConfig& cfg,
     merge_stage(stats.ship_stage, local);
   });
 
-  std::vector<std::thread> compute_threads;
-  compute_threads.reserve(static_cast<std::size_t>(cfg.compute_workers));
-  for (int w = 0; w < cfg.compute_workers; ++w) {
-    compute_threads.emplace_back([&, w] {
-      obs::StageBreakdown local;
-      try {
-        for (;;) {
-          double blocked = 0.0;
-          std::optional<Slot> s = ship_q.pop(&blocked);
-          local.stall_seconds += blocked;
-          stall_span("compute", "stall.pop", blocked);
-          if (!s.has_value()) break;
-          Timer t;
-          {
-            QGTC_SPAN("compute", "batch",
-                      {{"batch", s->index}, {"worker", w}});
-            compute(s->item, s->index, w);
-          }
-          const double busy = t.seconds();
-          comp[static_cast<std::size_t>(s->index)] = busy;
-          local.busy_seconds += busy;
-          live_bytes.fetch_sub(bytes(s->item), std::memory_order_relaxed);
-          // `s` (and the prepared batch) dies here — O(depth) residency.
+  // Compute stage: one loop per team member until ship_q ends. Extra
+  // iterations (team clamped below compute_workers) find the stream ended.
+  // Nothing may escape the OpenMP region, so failures go through fail().
+  parallel_for_workers(0, cfg.compute_workers, cfg.compute_workers,
+                       [&](i64, int w) {
+    obs::StageBreakdown local;
+    try {
+      for (;;) {
+        double blocked = 0.0;
+        std::optional<Slot> s = ship_q.pop(&blocked);
+        local.stall_seconds += blocked;
+        stall_span("compute", "stall.pop", blocked);
+        if (!s.has_value()) break;
+        Timer t;
+        {
+          QGTC_SPAN("compute", "batch", {{"batch", s->index}, {"worker", w}});
+          compute(s->item, s->index, w);
         }
-      } catch (...) {
-        fail(std::current_exception());
+        const double busy = t.seconds();
+        comp[static_cast<std::size_t>(s->index)] = busy;
+        local.busy_seconds += busy;
+        live_bytes.fetch_sub(bytes(s->item), std::memory_order_relaxed);
+        // `s` (and the prepared batch) dies here — O(depth) residency.
       }
-      merge_stage(stats.compute_stage, local);
-    });
-  }
+    } catch (...) {
+      fail(std::current_exception());
+    }
+    merge_stage(stats.compute_stage, local);
+  });
 
   for (std::thread& t : prepare_threads) t.join();
-  prep_q.close();  // producers done: let the ship stage drain and finish
   ship_thread.join();
-  for (std::thread& t : compute_threads) t.join();
   stats.epoch_seconds = epoch_timer.seconds();
 
   {

@@ -35,8 +35,9 @@ std::vector<SubgraphBatch> make_batches(const PartitionResult& parts,
 /// treats the result as one partition of a dynamic micro-batch, so its edges
 /// (intra-partition by the block-diagonal rule) are exactly the subgraph the
 /// request asked about. `max_nodes > 0` truncates the frontier once the set
-/// reaches that size (admission control for runaway hubs); seeds are always
-/// kept. Throws if any seed is out of range or duplicated.
+/// reaches that size (admission control for runaway hubs; 0 = unbounded);
+/// seeds are always kept. Throws if `seeds` is empty, any seed is out of
+/// range or duplicated, or `fanout` or `max_nodes` is negative.
 std::vector<i32> expand_ego(const CsrView& g, const std::vector<i32>& seeds,
                             int fanout, i64 max_nodes = 0);
 

@@ -57,8 +57,9 @@ void parallel_for_dynamic(i64 begin, i64 end, i64 chunk, Fn&& fn) {
 
 /// Dynamically-scheduled loop over [begin, end) with an explicit worker
 /// count; the body receives (iteration, worker) where worker is in
-/// [0, threads). The engine's inter-batch parallelism: each worker owns a
-/// per-worker ExecutionContext, so worker indices must be dense and bounded.
+/// [0, threads). Starts the stage pipeline's compute team (the engine's
+/// inter-batch parallelism): each worker owns a per-worker ExecutionContext,
+/// so worker indices must be dense and bounded.
 /// threads <= 1 runs serially in the caller (worker 0).
 template <typename Fn>
 void parallel_for_workers(i64 begin, i64 end, int threads, Fn&& fn) {

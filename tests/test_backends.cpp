@@ -156,7 +156,7 @@ TEST(Backends, PrivateCountersIsolatedFromGlobal) {
   EXPECT_EQ(ctx.counters().bmma_ops, 0u);
 }
 
-TEST(Backends, ApiCtxOverloadRoutesCounters) {
+TEST(Backends, ApiCtxOptionRoutesCounters) {
   Rng rng(6);
   MatrixF a(12, 100), b(100, 8);
   for (i64 i = 0; i < a.size(); ++i) a.data()[i] = rng.next_float(-1.f, 1.f);
@@ -165,7 +165,9 @@ TEST(Backends, ApiCtxOverloadRoutesCounters) {
   const auto tb = api::BitTensor::to_bit(b, 4, api::BitTensor::Side::kRight);
 
   tcsim::ExecutionContext ctx(tcsim::BackendKind::kSimd);
-  const MatrixI32 got = api::bitMM2Int(ta, tb, ctx);
+  BmmOptions pinned;
+  pinned.ctx = &ctx;
+  const MatrixI32 got = api::bitMM2Int(ta, tb, pinned);
   EXPECT_GT(ctx.counters().bmma_ops, 0u);
   EXPECT_EQ(got, api::bitMM2Int(ta, tb));
 }

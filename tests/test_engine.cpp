@@ -55,10 +55,23 @@ TEST(Engine, RunQuantizedPopulatesStats) {
 
 TEST(Engine, RunFp32Works) {
   const Dataset ds = small_dataset();
-  QgtcEngine engine(ds, small_config(gnn::ModelKind::kBatchedGIN, 4));
+  EngineConfig cfg = small_config(gnn::ModelKind::kBatchedGIN, 4);
+  QgtcEngine engine(ds, cfg);
   const EngineStats s = engine.run_fp32(1);
   EXPECT_GT(s.forward_seconds, 0.0);
   EXPECT_EQ(s.nodes, 2000);
+  // Precomputed fp32 epochs run on the stage pipeline too, shipping nothing.
+  EXPECT_GT(s.stage_breakdown.compute.busy_seconds, 0.0);
+  EXPECT_EQ(s.dense_bytes, 0);
+
+  cfg.mode = RunMode::streaming_pipeline(2, 2);
+  QgtcEngine streaming(ds, cfg);
+  const EngineStats st = streaming.run_fp32(1);
+  EXPECT_GT(st.forward_seconds, 0.0);
+  EXPECT_EQ(st.batches, s.batches);
+  EXPECT_EQ(st.nodes, s.nodes);
+  EXPECT_GT(st.stage_breakdown.compute.busy_seconds, 0.0);
+  EXPECT_GT(st.dense_bytes, 0);  // modelled dense transfer charged inline
 }
 
 TEST(Engine, TransferAccountingPackedSmaller) {

@@ -4,7 +4,9 @@
 // bit-identical logits and identical counters for every pipeline depth,
 // backend and adjacency layout.
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -163,18 +165,26 @@ TEST(StreamEpoch, EveryBatchComputedExactlyOnceWithItsOwnData) {
   const i64 n = 48;
   std::vector<std::atomic<int>> seen(static_cast<std::size_t>(n));
   transfer::StagingRing ring(2);
+  // Several preparers: the last one to finish ends the stream while the
+  // calling thread computes.
+  StreamEpochConfig cfg = small_epoch(n, 2);
+  cfg.prepare_workers = 3;
+  cfg.compute_workers = 4;
+  // The compute stage is an OpenMP team capped by the runtime's thread cap.
+  const int team = std::min(cfg.compute_workers, omp_get_max_threads());
   const StreamEpochStats stats = run_stream_epoch<i64>(
-      small_epoch(n, 2), ring,
+      cfg, ring,
       [](i64 i) { return i; },
       [](const i64&) { return i64{1000}; },
       fake_pack,
       [&](const i64& item, i64 index, int worker) {
         EXPECT_EQ(item, index);  // ship/compute never mixed up payloads
         EXPECT_GE(worker, 0);
-        EXPECT_LT(worker, 2);
+        EXPECT_LT(worker, team);
         seen[static_cast<std::size_t>(index)].fetch_add(1);
       });
   for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
+  EXPECT_GT(stats.compute_stage.busy_seconds, 0.0);
   EXPECT_EQ(stats.packed_bytes, n * static_cast<i64>(sizeof(i64)));
   EXPECT_EQ(stats.adj_bytes, n * 4);
   EXPECT_NEAR(stats.wire_seconds, n * 1e-6, 1e-9);
@@ -217,7 +227,8 @@ TEST(StreamEpoch, ComputeExceptionShutsDownAllStages) {
   };
   // Depth 1 guarantees producers are parked on a full queue when the
   // exception fires; abort() must wake them or this deadlocks (and the
-  // ctest timeout flags it).
+  // ctest timeout flags it). The throw happens inside the compute team on
+  // the calling thread and must still come back out here.
   EXPECT_THROW(run(), std::runtime_error);
 }
 
@@ -329,6 +340,10 @@ TEST(StreamingEngine, ChargesTransferInlineAndBoundsResidency) {
   EXPECT_EQ(pre.packed_bytes, 0);  // precomputed: transfer is post-hoc only
   EXPECT_DOUBLE_EQ(pre.exposed_transfer_seconds, 0.0);
   EXPECT_GT(pre.peak_prepared_bytes, 0);  // whole epoch resident
+  // Precomputed epochs run through the same stage pipeline: its compute
+  // stage reports the forward passes.
+  EXPECT_FALSE(pre.streaming);
+  EXPECT_GT(pre.stage_breakdown.compute.busy_seconds, 0.0);
 
   EngineConfig scfg = cfg;
   scfg.mode = RunMode::streaming_pipeline(1, 1);

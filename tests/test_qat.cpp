@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "gnn/qat.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace qgtc::gnn {
 namespace {
@@ -57,6 +58,27 @@ TEST(Qat, Deterministic) {
   const QatResult b = train_qat_gcn(ds, cfg);
   EXPECT_FLOAT_EQ(a.test_acc, b.test_acc);
   EXPECT_FLOAT_EQ(max_abs_diff(a.weights[0].w, b.weights[0].w), 0.0f);
+}
+
+TEST(Qat, BitIdenticalAtOneAndFourThreads) {
+  // Training must not depend on the OpenMP thread count: the same run at 1
+  // and 4 threads in one process ends on bit-equal weights.
+  const Dataset ds = small_dataset();
+  QatConfig cfg;
+  cfg.bits = 4;
+  cfg.epochs = 5;
+  const int saved = num_threads();
+  set_num_threads(1);
+  const QatResult one = train_qat_gcn(ds, cfg);
+  set_num_threads(4);
+  const QatResult four = train_qat_gcn(ds, cfg);
+  set_num_threads(saved);
+  ASSERT_EQ(one.weights.size(), four.weights.size());
+  for (std::size_t l = 0; l < one.weights.size(); ++l) {
+    EXPECT_EQ(one.weights[l].w, four.weights[l].w) << "layer " << l;
+  }
+  EXPECT_EQ(one.test_acc, four.test_acc);
+  EXPECT_EQ(one.train_acc, four.train_acc);
 }
 
 TEST(Qat, AccuracyTrendAcrossBits) {

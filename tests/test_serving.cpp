@@ -4,18 +4,21 @@
 // epoch path, across every backend x adjacency layout), per-request failure
 // isolation, concurrent-client hammering with a clean mid-flight shutdown
 // (ASan/TSan surface), ego-graph expansion semantics, and the api::Session
-// counter-accounting parity with the deprecated context-taking overloads.
+// counter-accounting parity with the free functions on a pinned context.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <atomic>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/session.hpp"
 #include "common/rng.hpp"
 #include "core/serving.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace qgtc::core {
 namespace {
@@ -96,7 +99,77 @@ TEST(ExpandEgo, RejectsBadSeeds) {
 // 0) with max_batch_requests = partitions-per-batch and an effectively
 // infinite wait, so the batcher reproduces the offline batch membership
 // deterministically — per-batch quantization then guarantees bit-identical
-// logits and identical counter totals.
+// logits and identical counter totals. Checks every result and the counter
+// totals against the offline epoch (`ref`, `ref_logits`) and returns the
+// serving stats.
+ServingStats serve_offline_membership(const Dataset& ds, const EngineConfig& cfg,
+                                      const QgtcEngine& offline,
+                                      const EngineStats& ref,
+                                      const std::vector<MatrixI32>& ref_logits,
+                                      int compute_workers,
+                                      const std::string& tag) {
+  ServingPolicy policy;
+  policy.max_batch_requests = cfg.batch_size;
+  policy.max_batch_nodes = i64{1} << 40;  // only the request count rules
+  policy.max_wait_us = i64{60} * 1000 * 1000;
+  policy.prepare_workers = 2;
+  policy.compute_workers = compute_workers;
+  ServingEngine serving(ds, cfg, policy);
+
+  std::vector<std::future<ServingResult>> futures;
+  std::vector<std::pair<i64, i64>> origin;  // (offline batch, partition)
+  for (i64 b = 0; b < offline.num_batches(); ++b) {
+    const SubgraphBatch& batch =
+        offline.batch_data()[static_cast<std::size_t>(b)]->batch;
+    for (i64 p = 0; p < batch.num_parts(); ++p) {
+      ServingRequest req;
+      req.fanout = 0;
+      req.seeds.assign(batch.nodes.begin() + batch.part_bounds[p],
+                       batch.nodes.begin() + batch.part_bounds[p + 1]);
+      futures.push_back(serving.submit(std::move(req)));
+      origin.emplace_back(b, p);
+    }
+  }
+  serving.stop();  // flushes any partial trailing micro-batch
+
+  i64 served_nodes = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const ServingResult res = futures[i].get();
+    const auto [b, p] = origin[i];
+    const SubgraphBatch& batch =
+        offline.batch_data()[static_cast<std::size_t>(b)]->batch;
+    // The micro-batch reproduced the offline membership exactly.
+    EXPECT_EQ(res.batch_nodes, batch.size()) << tag;
+    EXPECT_EQ(res.batch_requests, batch.num_parts()) << tag;
+    const i64 r0 = batch.part_bounds[p];
+    const i64 r1 = batch.part_bounds[p + 1];
+    EXPECT_EQ(static_cast<i64>(res.nodes.size()), r1 - r0) << tag;
+    served_nodes += r1 - r0;
+    const MatrixI32& ref_b = ref_logits[static_cast<std::size_t>(b)];
+    EXPECT_EQ(res.logits.cols(), ref_b.cols()) << tag;
+    for (i64 r = r0; r < r1 && res.logits.cols() == ref_b.cols(); ++r) {
+      for (i64 c = 0; c < ref_b.cols(); ++c) {
+        if (res.logits(r - r0, c) != ref_b(r, c)) {
+          ADD_FAILURE() << "logits diverged (" << tag << " batch=" << b
+                        << " part=" << p << " row=" << r << " col=" << c << ")";
+          return serving.stats();
+        }
+      }
+    }
+  }
+  const ServingStats st = serving.stats();
+  EXPECT_EQ(served_nodes, ref.nodes) << tag;
+  EXPECT_EQ(st.requests_completed, static_cast<i64>(futures.size())) << tag;
+  EXPECT_EQ(st.requests_failed, 0) << tag;
+  EXPECT_EQ(st.batches_dispatched, offline.num_batches()) << tag;
+  // Counter parity: the compute sessions' totals over exactly one epoch of
+  // membership equal the offline per-epoch totals.
+  EXPECT_EQ(st.bmma_ops, ref.bmma_ops) << tag;
+  EXPECT_EQ(st.tiles_jumped, ref.tiles_jumped) << tag;
+  EXPECT_EQ(st.gather_edges, ref.gather_edges) << tag;
+  return st;
+}
+
 TEST(ServingParity, BitIdenticalToOfflineEpochAcrossBackendsAndLayouts) {
   const Dataset ds = serving_dataset();
   for (const auto backend :
@@ -107,74 +180,48 @@ TEST(ServingParity, BitIdenticalToOfflineEpochAcrossBackendsAndLayouts) {
       cfg.backend = backend;
       cfg.mode.adjacency = sparse ? RunMode::Adjacency::kTileSparse
                                   : RunMode::Adjacency::kDenseJump;
+      const std::string tag = std::string("backend=") +
+                              tcsim::backend_name(backend) +
+                              " sparse=" + std::to_string(sparse);
 
       QgtcEngine offline(ds, cfg);
       std::vector<MatrixI32> ref_logits;
       const EngineStats ref = offline.run_quantized(1, &ref_logits);
+      const ServingStats st =
+          serve_offline_membership(ds, cfg, offline, ref, ref_logits, 2, tag);
+      EXPECT_GT(st.gather_edges, 0) << tag;
+      EXPECT_GT(st.packed_bytes, 0) << tag;
+    }
+  }
+}
 
-      ServingPolicy policy;
-      policy.max_batch_requests = cfg.batch_size;
-      policy.max_batch_nodes = i64{1} << 40;  // only the request count rules
-      policy.max_wait_us = i64{60} * 1000 * 1000;
-      policy.prepare_workers = 2;
-      policy.compute_workers = 2;
-      ServingEngine serving(ds, cfg, policy);
+// Results must not depend on thread counts: serving runs at 1 and 2 compute
+// workers, with its kernels' OpenMP regions serial and at the process's
+// thread count, each bit for bit against the offline batch computed at one
+// OpenMP thread. omp_set_num_threads binds only the calling thread, and
+// serving's stage threads take the process default, so the serial runs turn
+// every OpenMP level off process-wide instead (max_active_levels 0).
+TEST(ServingParity, BitIdenticalAcrossThreadCounts) {
+  const Dataset ds = serving_dataset();
+  EngineConfig cfg = serving_config();
+  cfg.mode.adjacency = RunMode::Adjacency::kTileSparse;
+  QgtcEngine offline(ds, cfg);
+  const int saved_threads = num_threads();
+  const int saved_levels = omp_get_max_active_levels();
+  set_num_threads(1);
+  std::vector<MatrixI32> ref_logits;
+  const EngineStats ref = offline.run_quantized(1, &ref_logits);
+  set_num_threads(saved_threads);
 
-      std::vector<std::future<ServingResult>> futures;
-      std::vector<std::pair<i64, i64>> origin;  // (offline batch, partition)
-      for (i64 b = 0; b < offline.num_batches(); ++b) {
-        const SubgraphBatch& batch = offline.batch_data()[
-            static_cast<std::size_t>(b)]->batch;
-        for (i64 p = 0; p < batch.num_parts(); ++p) {
-          ServingRequest req;
-          req.fanout = 0;
-          req.seeds.assign(
-              batch.nodes.begin() + batch.part_bounds[p],
-              batch.nodes.begin() + batch.part_bounds[p + 1]);
-          futures.push_back(serving.submit(std::move(req)));
-          origin.emplace_back(b, p);
-        }
-      }
-      serving.stop();  // flushes any partial trailing micro-batch
-
-      i64 served_nodes = 0;
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        const ServingResult res = futures[i].get();
-        const auto [b, p] = origin[i];
-        const SubgraphBatch& batch = offline.batch_data()[
-            static_cast<std::size_t>(b)]->batch;
-        // The micro-batch reproduced the offline membership exactly.
-        EXPECT_EQ(res.batch_nodes, batch.size());
-        EXPECT_EQ(res.batch_requests, batch.num_parts());
-        const i64 r0 = batch.part_bounds[p];
-        const i64 r1 = batch.part_bounds[p + 1];
-        ASSERT_EQ(static_cast<i64>(res.nodes.size()), r1 - r0);
-        served_nodes += r1 - r0;
-        const MatrixI32& ref_b = ref_logits[static_cast<std::size_t>(b)];
-        ASSERT_EQ(res.logits.cols(), ref_b.cols());
-        for (i64 r = r0; r < r1; ++r) {
-          for (i64 c = 0; c < ref_b.cols(); ++c) {
-            ASSERT_EQ(res.logits(r - r0, c), ref_b(r, c))
-                << "logits diverged (backend=" << tcsim::backend_name(backend)
-                << " sparse=" << sparse << " batch=" << b << " part=" << p
-                << " row=" << r << " col=" << c << ")";
-          }
-        }
-      }
-      EXPECT_EQ(served_nodes, ref.nodes);
-
-      // Counter parity: the compute sessions' totals over exactly one epoch
-      // of membership equal the offline per-epoch totals.
-      const ServingStats st = serving.stats();
-      EXPECT_EQ(st.bmma_ops, ref.bmma_ops)
-          << "backend=" << tcsim::backend_name(backend) << " sparse=" << sparse;
-      EXPECT_EQ(st.tiles_jumped, ref.tiles_jumped);
-      EXPECT_EQ(st.gather_edges, ref.gather_edges);
-      EXPECT_GT(st.gather_edges, 0);
-      EXPECT_EQ(st.requests_completed, static_cast<i64>(futures.size()));
-      EXPECT_EQ(st.requests_failed, 0);
-      EXPECT_EQ(st.batches_dispatched, offline.num_batches());
-      EXPECT_GT(st.packed_bytes, 0);
+  for (const bool serial : {true, false}) {
+    for (const int workers : {1, 2}) {
+      const std::string tag = std::string(serial ? "serial" : "threaded") +
+                              " kernels, " + std::to_string(workers) +
+                              " compute workers";
+      omp_set_max_active_levels(serial ? 0 : saved_levels);
+      (void)serve_offline_membership(ds, cfg, offline, ref, ref_logits,
+                                     workers, tag);
+      omp_set_max_active_levels(saved_levels);
     }
   }
 }
@@ -187,17 +234,36 @@ TEST(ServingFailure, BadRequestFailsItselfNotTheServer) {
   policy.max_wait_us = 500;
   ServingEngine serving(ds, serving_config(), policy);
 
-  // Out-of-range and duplicate seeds fail at admission.
-  auto bad1 = serving.submit({{-3}, 0, 0});
-  EXPECT_THROW(bad1.get(), std::invalid_argument);
-  auto bad2 = serving.submit({{7, 7}, 0, 0});
-  EXPECT_THROW(bad2.get(), std::invalid_argument);
+  // Each malformed request fails its own future at admission, is never
+  // admitted, and leaves the server serving the next good request.
+  const i32 n = static_cast<i32>(ds.spec.num_nodes);
+  const struct {
+    const char* what;
+    ServingRequest req;
+  } bad[] = {
+      {"empty seeds", {{}, 0, 0}},
+      {"negative seed", {{-3}, 0, 0}},
+      {"seed == num_nodes", {{n}, 0, 0}},
+      {"seed > num_nodes", {{1, n + 5}, 0, 0}},
+      {"duplicate seed", {{7, 7}, 0, 0}},
+      {"negative fanout", {{7}, -1, 0}},
+      {"negative max_nodes", {{7}, 1, -4}},
+  };
+  i64 completed = 0;
+  for (const auto& b : bad) {
+    SCOPED_TRACE(b.what);
+    auto fut = serving.submit(b.req);
+    EXPECT_THROW(fut.get(), std::invalid_argument);
+    EXPECT_EQ(serving.stats().requests_admitted, completed);
+    // The server keeps serving afterwards.
+    const ServingResult ok = serving.infer({{1, 2, 3}, 1, 0});
+    ++completed;
+    EXPECT_EQ(ok.logits.cols(), 4);
+    EXPECT_GE(ok.nodes.size(), 3u);
+  }
 
-  // The server keeps serving afterwards — including a request whose
-  // ego-graph exceeds max_batch_nodes (it dispatches alone).
-  const ServingResult ok = serving.infer({{1, 2, 3}, 1, 0});
-  EXPECT_EQ(ok.logits.cols(), 4);
-  EXPECT_GE(ok.nodes.size(), 3u);
+  // Including a request whose ego-graph exceeds max_batch_nodes (it
+  // dispatches alone).
 
   ServingPolicy tiny = policy;
   tiny.max_batch_nodes = 2;
@@ -207,8 +273,8 @@ TEST(ServingFailure, BadRequestFailsItselfNotTheServer) {
   EXPECT_EQ(big.batch_requests, 1);
 
   const ServingStats st = serving.stats();
-  EXPECT_EQ(st.requests_completed, 1);
-  EXPECT_EQ(st.requests_admitted, 1);  // the two bad ones never got in
+  EXPECT_EQ(st.requests_completed, completed);
+  EXPECT_EQ(st.requests_admitted, completed);  // no bad one ever got in
 }
 
 TEST(ServingFailure, SubmitAfterStopThrows) {
@@ -267,9 +333,7 @@ TEST(ServingConcurrency, HammeringClientsAndMidFlightStopStayClean) {
 
 // ------------------------------------------------- api::Session parity
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(SessionApi, MatchesDeprecatedContextOverloadsIncludingCounters) {
+TEST(SessionApi, MatchesContextPinnedFreeFunctionsIncludingCounters) {
   Rng rng(23);
   MatrixF a(32, 48), b(48, 24);
   for (i64 i = 0; i < a.size(); ++i) a.data()[i] = rng.next_float(-1.f, 1.f);
@@ -282,25 +346,26 @@ TEST(SessionApi, MatchesDeprecatedContextOverloadsIncludingCounters) {
         tcsim::BackendKind::kBlocked}) {
     const api::Session session(backend);
     const tcsim::ExecutionContext ctx(backend, /*private_counters=*/true);
+    BmmOptions pinned;
+    pinned.ctx = &ctx;
 
     // mm_int: identical result, identical private-counter accounting.
     const MatrixI32 via_session = session.mm_int(ta, tb);
-    const MatrixI32 via_overload = api::bitMM2Int(ta, tb, ctx);
+    const MatrixI32 via_overload = api::bitMM2Int(ta, tb, pinned);
     EXPECT_EQ(via_session, via_overload);
     EXPECT_EQ(session.counters().bmma_ops, ctx.counters().bmma_ops);
     EXPECT_EQ(session.counters().frag_loads_a, ctx.counters().frag_loads_a);
     EXPECT_EQ(session.counters().frag_stores, ctx.counters().frag_stores);
 
-    // mm_bit: the MmOut{bits, act} spelling against the positional overload.
+    // mm_bit: the MmOut{bits, act} spelling against the positional form.
     const api::BitTensor s_bit = session.mm_bit(
         ta, tb, api::MmOut{4, tcsim::Activation::kRelu});
     const api::BitTensor o_bit =
-        api::bitMM2Bit(ta, tb, 4, ctx, {}, tcsim::Activation::kRelu);
+        api::bitMM2Bit(ta, tb, 4, pinned, tcsim::Activation::kRelu);
     EXPECT_EQ(s_bit.to_val(), o_bit.to_val());
     EXPECT_EQ(session.counters().bmma_ops, ctx.counters().bmma_ops);
   }
 }
-#pragma GCC diagnostic pop
 
 TEST(SessionApi, FreeFunctionsRouteThroughDefaultSession) {
   // The plain free functions must keep their legacy global-counter
