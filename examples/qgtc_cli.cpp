@@ -342,6 +342,7 @@ int main(int argc, char** argv) {
     }
     table.add_row({"tile MMAs", std::to_string(st.bmma_ops)});
     table.add_row({"gathered edges", std::to_string(st.gather_edges)});
+    table.add_row({"code MACs", std::to_string(st.code_macs)});
     table.add_row({"batcher busy/stall ms", stage_row(st.batcher_stage)});
     table.add_row({"prepare busy/stall ms", stage_row(st.prepare_stage)});
     table.add_row({"ship busy/stall ms", stage_row(st.ship_stage)});
@@ -382,6 +383,7 @@ int main(int argc, char** argv) {
                    core::TablePrinter::fmt(st.forward_seconds * 1e3, 1)});
     table.add_row({"tile MMAs/epoch", std::to_string(st.bmma_ops)});
     table.add_row({"gathered edges/epoch", std::to_string(st.gather_edges)});
+    table.add_row({"code MACs/epoch", std::to_string(st.code_macs)});
     table.add_row({"halo nodes/epoch", std::to_string(st.halo_nodes)});
     table.add_row({"halo MB/epoch",
                    core::TablePrinter::fmt(
@@ -464,6 +466,7 @@ int main(int argc, char** argv) {
   table.add_row({"tile MMAs/epoch", std::to_string(q.bmma_ops)});
   table.add_row({"tiles jumped/epoch", std::to_string(q.tiles_jumped)});
   table.add_row({"gathered edges/epoch", std::to_string(q.gather_edges)});
+  table.add_row({"code MACs/epoch", std::to_string(q.code_macs)});
   table.add_row({"int32 MB avoided/epoch",
                  core::TablePrinter::fmt(
                      static_cast<double>(q.int32_bytes_avoided) / 1e6, 2)});

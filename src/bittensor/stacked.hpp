@@ -16,7 +16,9 @@ class StackedBitTensor {
   StackedBitTensor() = default;
 
   /// Decompose a quantized int32 matrix (values in [0, 2^bits)) into `bits`
-  /// stacked planes. `bitDecompose` of Algorithm 1.
+  /// stacked planes. `bitDecompose` of Algorithm 1. Plane b holds bit b of
+  /// each value's two's-complement form for any int32 input, exactly as
+  /// pack_bit_plane(q, b, ...) packs it, in one pass over the matrix.
   static StackedBitTensor decompose(const MatrixI32& q, int bits,
                                     BitLayout layout,
                                     PadPolicy non_k_pad = PadPolicy::kTile8);

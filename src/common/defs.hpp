@@ -36,6 +36,19 @@ inline constexpr int kTileKWords = kTileK / kWordBits;  // 4 x u32 per tile row
 /// Ceiling division for non-negative operands.
 [[nodiscard]] constexpr i64 ceil_div(i64 a, i64 b) { return (a + b - 1) / b; }
 
+/// 8x8 bit transpose of a u64 whose byte i holds 8 bits of value i: returns
+/// the u64 whose byte b holds bit b of every value (value i at bit i). Three
+/// delta swaps. Shared by the bit decomposition and every packed-plane drain.
+[[nodiscard]] constexpr u64 transpose8x8_bits(u64 x) {
+  u64 t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+  x ^= t ^ (t << 28);
+  return x;
+}
+
 /// Throwing check used on public API boundaries (stays on in release builds,
 /// unlike assert); reports the failing condition and a caller message.
 #define QGTC_CHECK(cond, msg)                                                 \

@@ -349,6 +349,7 @@ EngineStats QgtcEngine::run_quantized(int rounds,
   stats.tiles_jumped = static_cast<i64>(total.tiles_jumped) / rounds;
   stats.bmma_ops = static_cast<i64>(total.bmma_ops) / rounds;
   stats.gather_edges = static_cast<i64>(total.gather_edges) / rounds;
+  stats.code_macs = static_cast<i64>(total.code_macs) / rounds;
   stats.epilogue_fused_layers = model_.fused_stage_count();
   stats.int32_bytes_avoided = static_cast<i64>(total.int32_bytes_avoided) / rounds;
   return stats;

@@ -127,10 +127,12 @@ struct EngineStats {
   i64 nodes = 0;
   // Substrate counters accumulated over the epoch. bmma_ops counts tile MMAs
   // actually executed; gather_edges counts neighbour code rows the row-gather
-  // aggregation added (its stages execute no tile MMAs).
+  // aggregation added, and code_macs the multiply-accumulates the code-dot
+  // updates ran (neither kind of stage executes tile MMAs).
   i64 tiles_jumped = 0;
   i64 bmma_ops = 0;
   i64 gather_edges = 0;
+  i64 code_macs = 0;
   // Epilogue fusion accounting: requantizing stages the model's rewrite pass
   // runs fused per forward pass, and the int32 intermediate bytes those
   // stages never materialised (per epoch, averaged over rounds).

@@ -184,6 +184,7 @@ ServingStats ServingEngine::stats() const {
     s.bmma_ops += static_cast<i64>(c.bmma_ops);
     s.tiles_jumped += static_cast<i64>(c.tiles_jumped);
     s.gather_edges += static_cast<i64>(c.gather_edges);
+    s.code_macs += static_cast<i64>(c.code_macs);
   }
   return s;
 }

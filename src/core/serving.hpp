@@ -107,10 +107,12 @@ struct ServingStats {
   i64 resident_reuse_batches = 0;
   /// Substrate counters summed over the compute workers' sessions, with
   /// EngineStats' meaning: bmma_ops counts executed tile MMAs, gather_edges
-  /// the row-gather aggregation's neighbour code rows.
+  /// the row-gather aggregation's neighbour code rows, code_macs the code-dot
+  /// updates' multiply-accumulates.
   i64 bmma_ops = 0;
   i64 tiles_jumped = 0;
   i64 gather_edges = 0;
+  i64 code_macs = 0;
   /// Per-stage busy-vs-stall decomposition, summed over each stage's workers
   /// since server start. `batcher.busy` is time spent with an open micro-
   /// batch (the coalesce window); `batcher.stall` is idle time waiting for

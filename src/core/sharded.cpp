@@ -266,6 +266,7 @@ EngineStats ShardedEngine::run_quantized(int rounds,
     merged.tiles_jumped += st.tiles_jumped;
     merged.bmma_ops += st.bmma_ops;
     merged.gather_edges += st.gather_edges;
+    merged.code_macs += st.code_macs;
     merged.epilogue_fused_layers =
         std::max(merged.epilogue_fused_layers, st.epilogue_fused_layers);
     merged.int32_bytes_avoided += st.int32_bytes_avoided;

@@ -29,6 +29,15 @@ BmmOptions stage_options(const GnnConfig& cfg) {
   return opt;
 }
 
+/// The update kernel for an `a_bits` x `w_bits` stage: the code dot where it
+/// is exact and the plane pairs make the tile sweep the dearer of the two.
+ReuseMode update_kernel(int a_bits, int w_bits, const BmmOptions& opt) {
+  return code_dot_applies(a_bits, w_bits, opt) &&
+                 a_bits * w_bits >= kCodeDotMinPlanePairs
+             ? ReuseMode::kCodeDot
+             : ReuseMode::kCrossTile;
+}
+
 /// The stage plan's epilogue, in kernel form (fused to-bit paths).
 FusedEpilogue epi_of(const EpiloguePlan& p) {
   FusedEpilogue e;
@@ -66,8 +75,8 @@ QgtcModel QgtcModel::from_weights(const GnnConfig& cfg,
   QgtcModel m;
   m.cfg_ = cfg;
   m.fp_weights_ = std::move(weights);
-  m.build_plan();
   m.quantize_weights();
+  m.build_plan();
   return m;
 }
 
@@ -79,9 +88,10 @@ void QgtcModel::build_plan() {
   const bool gcn = cfg_.kind == ModelKind::kClusterGCN;
   // Every aggregation consumes codes of at most feat_bits bits (calibration
   // only ever narrows a stage's planes), so one test covers all of them.
+  const BmmOptions opt = stage_options(cfg_);
   ReuseMode agg_kernel = cfg_.reuse;
   if (agg_kernel == ReuseMode::kRowGather &&
-      !row_gather_applies(cfg_.feat_bits, stage_options(cfg_))) {
+      !row_gather_applies(cfg_.feat_bits, opt)) {
     agg_kernel = ReuseMode::kCrossTile;
   }
   for (int l = 0; l < n; ++l) {
@@ -92,6 +102,14 @@ void QgtcModel::build_plan() {
     ap.fused = up.fused = up2.fused = cfg_.fused_epilogue;
     ap.out_bits = up.out_bits = up2.out_bits = cfg_.feat_bits;
     ap.kernel = agg_kernel;
+    // Weight planes are final here; activations are feat_bits wide until
+    // calibration narrows them and re-picks these kernels.
+    up.kernel = update_kernel(cfg_.feat_bits,
+                              w_planes_[static_cast<std::size_t>(l)].bits(), opt);
+    if (cfg_.gin_mlp) {
+      up2.kernel = update_kernel(
+          cfg_.feat_bits, w2_planes_[static_cast<std::size_t>(l)].bits(), opt);
+    }
     // Aggregation requantizes without an activation (the nonlinearity sits on
     // the update stage, as in the paper's GCN/GIN layer definitions). The
     // update stage that feeds the final logits stays linear.
@@ -158,6 +176,13 @@ void QgtcModel::calibrate_impl(const Adj& adj, const MatrixF& x) {
   MatrixI32 xq = quantize_matrix(x, xqp);
   int cur_bits = s;
 
+  // Picks an update stage's kernel from its final operand bits and runs it.
+  const auto update = [&](const StackedBitTensor& act,
+                          const StackedBitTensor& w, EpiloguePlan& plan) {
+    plan.kernel = update_kernel(act.bits(), w.bits(), opt);
+    return bitmm_fused_int(act, w, {}, opt, plan.kernel);
+  };
+
   // Completes one stage plan from the raw accumulators: derive the right
   // shift from the observed maximum, requantize `m` in place through the
   // shared epilogue, then (per_layer_bits) narrow the stage's plane count to
@@ -186,7 +211,7 @@ void QgtcModel::calibrate_impl(const Adj& adj, const MatrixF& x) {
       auto xn = StackedBitTensor::decompose(agg, agg_plan_[li].out_bits,
                                             BitLayout::kRowMajorK,
                                             PadPolicy::kTile8);
-      MatrixI32 upd = bitmm_fused_int(xn, w_planes_[li], {}, opt);
+      MatrixI32 upd = update(xn, w_planes_[li], upd_plan_[li]);
       if (last) break;
       requant_stage(upd, upd_plan_[li]);
       cur_bits = upd_plan_[li].out_bits;
@@ -194,14 +219,14 @@ void QgtcModel::calibrate_impl(const Adj& adj, const MatrixF& x) {
     } else {
       auto xp = StackedBitTensor::decompose(xq, cur_bits, BitLayout::kRowMajorK,
                                             PadPolicy::kTile8);
-      MatrixI32 upd = bitmm_fused_int(xp, w_planes_[li], {}, opt);
+      MatrixI32 upd = update(xp, w_planes_[li], upd_plan_[li]);
       requant_stage(upd, upd_plan_[li]);
       int ub = upd_plan_[li].out_bits;
       if (cfg_.gin_mlp) {
         // Second MLP stage: requantized stage-1 output feeds another GEMM.
         auto xm = StackedBitTensor::decompose(upd, ub, BitLayout::kRowMajorK,
                                               PadPolicy::kTile8);
-        MatrixI32 upd2 = bitmm_fused_int(xm, w2_planes_[li], {}, opt);
+        MatrixI32 upd2 = update(xm, w2_planes_[li], upd2_plan_[li]);
         requant_stage(upd2, upd2_plan_[li]);
         ub = upd2_plan_[li].out_bits;
         upd = std::move(upd2);
@@ -293,18 +318,19 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
                                          BitLayout::kRowMajorK,
                                          PadPolicy::kTile8);
       }
+      const EpiloguePlan& up = upd_plan_[li];
       if (last) {
-        logits = bitmm_fused_int(xn, w_planes_[li], {}, opt);
+        logits = bitmm_fused_int(xn, w_planes_[li], {}, opt, up.kernel);
         break;
       }
-      const EpiloguePlan& up = upd_plan_[li];
       if (up.fused) {
         next = bitmm_fused_bit(xn, w_planes_[li], up.out_bits, epi_of(up), opt,
-                               PadPolicy::kTile8, BitLayout::kColMajorK);
+                               PadPolicy::kTile8, BitLayout::kColMajorK,
+                               up.kernel);
       } else {
         MatrixI32& upd =
             ws.int32_scratch(kUpdScratch, nodes, w_planes_[li].cols());
-        bitmm_fused_int_into(xn, w_planes_[li], upd, {}, opt);
+        bitmm_fused_int_into(xn, w_planes_[li], upd, {}, opt, up.kernel);
         requant_inplace(upd, up);
         next = StackedBitTensor::decompose(upd, up.out_bits,
                                            BitLayout::kColMajorK,
@@ -324,11 +350,11 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
       StackedBitTensor xu;
       if (up.fused) {
         xu = bitmm_fused_bit(*cur, w_planes_[li], up.out_bits, epi_of(up), opt,
-                             PadPolicy::kTile8, l1);
+                             PadPolicy::kTile8, l1, up.kernel);
       } else {
         MatrixI32& upd =
             ws.int32_scratch(kUpdScratch, nodes, w_planes_[li].cols());
-        bitmm_fused_int_into(*cur, w_planes_[li], upd, {}, opt);
+        bitmm_fused_int_into(*cur, w_planes_[li], upd, {}, opt, up.kernel);
         requant_inplace(upd, up);
         xu = StackedBitTensor::decompose(upd, up.out_bits, l1,
                                          PadPolicy::kTile8);
@@ -337,11 +363,12 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
         const EpiloguePlan& up2 = upd2_plan_[li];
         if (up2.fused) {
           xu = bitmm_fused_bit(xu, w2_planes_[li], up2.out_bits, epi_of(up2),
-                               opt, PadPolicy::kTile8, BitLayout::kColMajorK);
+                               opt, PadPolicy::kTile8, BitLayout::kColMajorK,
+                               up2.kernel);
         } else {
           MatrixI32& upd2 =
               ws.int32_scratch(kUpd2Scratch, nodes, w2_planes_[li].cols());
-          bitmm_fused_int_into(xu, w2_planes_[li], upd2, {}, opt);
+          bitmm_fused_int_into(xu, w2_planes_[li], upd2, {}, opt, up2.kernel);
           requant_inplace(upd2, up2);
           xu = StackedBitTensor::decompose(upd2, up2.out_bits,
                                            BitLayout::kColMajorK,
@@ -376,6 +403,7 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
                                                    before.int32_bytes_avoided);
     stats->gather_edges +=
         static_cast<i64>(after.gather_edges - before.gather_edges);
+    stats->code_macs += static_cast<i64>(after.code_macs - before.code_macs);
   }
   return logits;
 }

@@ -23,6 +23,7 @@ struct ForwardStats {
   i64 bmma_ops = 0;
   i64 int32_bytes_avoided = 0;
   i64 gather_edges = 0;
+  i64 code_macs = 0;
 };
 
 /// Per-stage kernel and epilogue plan (one per aggregate/update stage per
@@ -34,10 +35,12 @@ struct EpiloguePlan {
   int out_bits = 8;
   tcsim::Activation act = tcsim::Activation::kIdentity;
   bool fused = true;
-  /// Aggregation stages: the schedule the stage runs. kRowGather when the
+  /// The kernel the stage runs. Aggregation stages: kRowGather when the
   /// config asks for it and row_gather_applies to the stage; otherwise a
   /// tile sweep (the config's tile schedule, kCrossTile by default). Update
-  /// stages always run the tile sweep and leave this at kCrossTile.
+  /// stages: kCodeDot when code_dot_applies to the stage's final operand
+  /// bits and they make at least kCodeDotMinPlanePairs plane pairs;
+  /// otherwise the tile sweep (kCrossTile).
   ReuseMode kernel = ReuseMode::kCrossTile;
 };
 

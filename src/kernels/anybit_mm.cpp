@@ -32,6 +32,10 @@ bool row_gather_applies(int x_bits, const BmmOptions& opt) {
          !opt.allow_overflow && x_bits >= 1 && x_bits <= 8;
 }
 
+bool code_dot_applies(int a_bits, int b_bits, const BmmOptions& opt) {
+  return row_gather_applies(a_bits, opt) && row_gather_applies(b_bits, opt);
+}
+
 namespace {
 
 /// Collect the plane pointers of a stacked tensor.
@@ -143,6 +147,11 @@ class SparseAdjSource {
   const TileSparseBitMatrix* a_;
 };
 
+/// Row blocks whose rows share one u32 word of a kColMajorK output line (32
+/// rows). Kernels writing kColMajorK planes hand each worker whole groups of
+/// them, so no output plane word is shared between threads.
+constexpr i64 kRowBlocksPerWord = kWordBits / kTileM;
+
 /// Single-pass any-bit tile sweep (the §4.4 cross-tile reduction generalised
 /// to multi-bit A): for each output tile, every surviving K tile is decoded
 /// once per A plane and multiplied against every B plane before moving on.
@@ -155,13 +164,13 @@ class SparseAdjSource {
 /// is staged in the sweep itself. Tile ops execute on the context's
 /// substrate backend; scratch comes from the per-thread workspace arena.
 ///
-/// `parallel_over_n` selects the parallel axis: row-tile blocks when the
-/// consumer writes row-owned data (int32 rows / kRowMajorK planes), and
-/// column-tile blocks when it writes column-owned data (kColMajorK planes),
-/// so plane words are never shared between threads.
+/// The parallel work item is one row block when the consumer writes
+/// row-owned data (int32 rows / kRowMajorK planes), and a group of
+/// kRowBlocksPerWord row blocks when it writes kColMajorK planes
+/// (`col_major_out`), so plane words are never shared between threads.
 template <typename Src, typename Consume>
 void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
-                      const BmmOptions& opt, bool parallel_over_n,
+                      const BmmOptions& opt, bool col_major_out,
                       Consume&& consume) {
   const BitMatrix& b0 = *bp.front();
   QGTC_CHECK(b0.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
@@ -179,9 +188,9 @@ void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
   const int sb = static_cast<int>(bp.size());
   const bool use_xor = (opt.op == tcsim::BmmaOp::kXor);
 
-  // Surviving tile handles per row block, shared across the N sweep (and
-  // across threads when parallelising over N). The list-of-lists lives in
-  // the calling thread's arena; inner threads only read it.
+  // Surviving tile handles per row block, shared across the N sweep. The
+  // list-of-lists lives in the calling thread's arena; inner threads only
+  // read it.
   std::vector<std::vector<i64>>& k_lists = ctx.workspace().k_lists(tiles_m);
   parallel_for(0, tiles_m, [&](i64 tm) {
     auto& list = k_lists[static_cast<std::size_t>(tm)];
@@ -194,83 +203,52 @@ void fused_tile_sweep(const Src& src, const std::vector<const BitMatrix*>& bp,
     }
   });
 
-  if (parallel_over_n) {
-    // ColMajorK consumers: parallel over output-column tiles. These products
-    // are small (few column tiles), so the simple per-(tm, tn) path is fine.
-    parallel_for_dynamic(0, tiles_n, /*chunk=*/1, [&](i64 tn) {
-      u64* acc = ctx.workspace().acc_lanes(tcsim::kTileAccLanes);
-      tcsim::AFragment frag;
-      tcsim::Counters delta;
-      for (i64 tm = 0; tm < tiles_m; ++tm) {
-        std::memset(acc, 0, tcsim::kTileAccLanes * sizeof(u64));
-        const auto& k_list = k_lists[static_cast<std::size_t>(tm)];
-        for (const i64 h : k_list) {
-          const i64 tk = src.tile_col(h);
-          for (int ab = 0; ab < sa; ++ab) {
-            be.load_a(frag, src.tile_ptr(ab, tm, h), src.tile_stride(ab));
+  // Cross-tile reduction (§4.4), panel form: a decoded A fragment (one per
+  // surviving (tk, plane)) is swept across the backend's panel of
+  // output-column tiles and every B bit-plane before the next A tile is
+  // touched. This both realises the paper's O(1)-loads claim and amortises
+  // per-output-tile bookkeeping over the whole K reduction. The per-tile
+  // backends (panel width 1) degenerate to cross-bit-style reloads.
+  const i64 width = be.panel_width();
+  const i64 chunk = col_major_out ? kRowBlocksPerWord : 1;
+  parallel_for_dynamic(0, tiles_m, chunk, [&](i64 tm) {
+    const auto& k_list = k_lists[static_cast<std::size_t>(tm)];
+    u64* acc = ctx.workspace().acc_lanes(width * tcsim::kTileAccLanes);
+    tcsim::AFragment frag;
+    i64 a_loads = 0;
+    for (i64 tn0 = 0; tn0 < tiles_n; tn0 += width) {
+      const i64 nb = std::min<i64>(width, tiles_n - tn0);
+      std::memset(acc, 0,
+                  static_cast<std::size_t>(nb * tcsim::kTileAccLanes) * sizeof(u64));
+      for (const i64 h : k_list) {
+        const i64 tk = src.tile_col(h);
+        for (int ab = 0; ab < sa; ++ab) {
+          be.load_a(frag, src.tile_ptr(ab, tm, h), src.tile_stride(ab));
+          ++a_loads;
+          for (i64 b = 0; b < nb; ++b) {
             for (int bb = 0; bb < sb; ++bb) {
               const BitMatrix& pb = *bp[static_cast<std::size_t>(bb)];
-              be.mma(acc, frag, pb.col_words(tn * kTileN) + tk * kTileKWords,
+              be.mma(acc + b * tcsim::kTileAccLanes, frag,
+                     pb.col_words((tn0 + b) * kTileN) + tk * kTileKWords,
                      pb.k_words(), ab + bb, use_xor);
             }
           }
         }
-        consume(tm, tn, static_cast<const u64*>(acc));
-        const u64 kt = static_cast<u64>(k_list.size());
-        delta.bmma_ops += kt * static_cast<u64>(sa) * static_cast<u64>(sb);
-        delta.frag_loads_a += kt * static_cast<u64>(sa);
-        delta.frag_loads_b += kt * static_cast<u64>(sa) * static_cast<u64>(sb);
       }
-      // Bulk substrate accounting: one context note per column-tile sweep.
-      ctx.note(delta);
-    });
-  } else {
-    // Cross-tile reduction (§4.4), panel form: a decoded A fragment (one per
-    // surviving (tk, plane)) is swept across the backend's panel of
-    // output-column tiles and every B bit-plane before the next A tile is
-    // touched. This both realises the paper's O(1)-loads claim and amortises
-    // per-output-tile bookkeeping over the whole K reduction. The per-tile
-    // backends (panel width 1) degenerate to cross-bit-style reloads.
-    const i64 width = be.panel_width();
-    parallel_for_dynamic(0, tiles_m, /*chunk=*/1, [&](i64 tm) {
-      const auto& k_list = k_lists[static_cast<std::size_t>(tm)];
-      u64* acc = ctx.workspace().acc_lanes(width * tcsim::kTileAccLanes);
-      tcsim::AFragment frag;
-      i64 a_loads = 0;
-      for (i64 tn0 = 0; tn0 < tiles_n; tn0 += width) {
-        const i64 nb = std::min<i64>(width, tiles_n - tn0);
-        std::memset(acc, 0,
-                    static_cast<std::size_t>(nb * tcsim::kTileAccLanes) * sizeof(u64));
-        for (const i64 h : k_list) {
-          const i64 tk = src.tile_col(h);
-          for (int ab = 0; ab < sa; ++ab) {
-            be.load_a(frag, src.tile_ptr(ab, tm, h), src.tile_stride(ab));
-            ++a_loads;
-            for (i64 b = 0; b < nb; ++b) {
-              for (int bb = 0; bb < sb; ++bb) {
-                const BitMatrix& pb = *bp[static_cast<std::size_t>(bb)];
-                be.mma(acc + b * tcsim::kTileAccLanes, frag,
-                       pb.col_words((tn0 + b) * kTileN) + tk * kTileKWords,
-                       pb.k_words(), ab + bb, use_xor);
-              }
-            }
-          }
-        }
-        for (i64 b = 0; b < nb; ++b) {
-          consume(tm, tn0 + b,
-                  static_cast<const u64*>(acc + b * tcsim::kTileAccLanes));
-        }
+      for (i64 b = 0; b < nb; ++b) {
+        consume(tm, tn0 + b,
+                static_cast<const u64*>(acc + b * tcsim::kTileAccLanes));
       }
-      tcsim::Counters delta;
-      const u64 kt = static_cast<u64>(k_list.size());
-      delta.bmma_ops =
-          kt * static_cast<u64>(sa) * static_cast<u64>(sb) * static_cast<u64>(tiles_n);
-      delta.frag_loads_a = static_cast<u64>(a_loads);
-      delta.frag_loads_b =
-          kt * static_cast<u64>(sa) * static_cast<u64>(sb) * static_cast<u64>(tiles_n);
-      ctx.note(delta);
-    });
-  }
+    }
+    tcsim::Counters delta;
+    const u64 kt = static_cast<u64>(k_list.size());
+    delta.bmma_ops =
+        kt * static_cast<u64>(sa) * static_cast<u64>(sb) * static_cast<u64>(tiles_n);
+    delta.frag_loads_a = static_cast<u64>(a_loads);
+    delta.frag_loads_b =
+        kt * static_cast<u64>(sa) * static_cast<u64>(sb) * static_cast<u64>(tiles_n);
+    ctx.note(delta);
+  });
 }
 
 /// Applies the optional per-column batch-norm fold (Eq. 8) to one raw
@@ -284,6 +262,29 @@ inline i32 apply_bn(i32 v, i64 col, const FusedEpilogue& epi) {
   return v;
 }
 
+/// The int path applies the activation but never requantizes (rshift/clamp
+/// stay with the to-bit path), matching the historical epilogue contract.
+constexpr tcsim::EpilogueSpec int_spec(const FusedEpilogue& epi) {
+  return tcsim::EpilogueSpec{epi.act, 0, -1};
+}
+
+/// Stores one finished raw 8x8 tile `q` (row-major) into a row-major i32
+/// matrix of logical extent m x n through the BN fold and the int path's
+/// epilogue. Assigns every covered element.
+inline void store_int_tile(i32* out, i64 m, i64 n, i64 tm, i64 tn,
+                           const i32* q, const FusedEpilogue& epi) {
+  const tcsim::EpilogueSpec spec = int_spec(epi);
+  const i64 r0 = tm * kTileM, c0 = tn * kTileN;
+  const i64 rows_here = std::min<i64>(kTileM, m - r0);
+  const i64 cols_here = std::min<i64>(kTileN, n - c0);
+  for (i64 i = 0; i < rows_here; ++i) {
+    for (i64 j = 0; j < cols_here; ++j) {
+      const i32 v = apply_bn(q[i * kTileN + j], c0 + j, epi);
+      out[(r0 + i) * n + c0 + j] = tcsim::apply_epilogue(v, spec);
+    }
+  }
+}
+
 /// Drains one finished accumulator tile into a row-major i32 matrix of
 /// logical extent m x n. Interior tiles (full 8x8, no BN) flush straight into
 /// the output with the backend's fused epilogue; edge and BN tiles stage
@@ -291,24 +292,23 @@ inline i32 apply_bn(i32 v, i64 col, const FusedEpilogue& epi) {
 inline void drain_int_tile(const tcsim::SubstrateBackend& be, i32* out, i64 m,
                            i64 n, i64 tm, i64 tn, const u64* acc,
                            const FusedEpilogue& epi) {
-  // The int path applies the activation but never requantizes (rshift/clamp
-  // stay with the to-bit path), matching the historical epilogue contract.
-  const tcsim::EpilogueSpec spec{epi.act, 0, -1};
   const i64 r0 = tm * kTileM, c0 = tn * kTileN;
   if (!epi.use_bn && r0 + kTileM <= m && c0 + kTileN <= n) {
-    be.flush_epilogue(out + r0 * n + c0, n, acc, spec);
+    be.flush_epilogue(out + r0 * n + c0, n, acc, int_spec(epi));
     return;
   }
   alignas(64) i32 tmp[kTileM * kTileN];
   be.flush_epilogue(tmp, kTileN, acc, tcsim::EpilogueSpec{});
-  const i64 rows_here = std::min<i64>(kTileM, m - r0);
-  const i64 cols_here = std::min<i64>(kTileN, n - c0);
-  for (i64 i = 0; i < rows_here; ++i) {
-    for (i64 j = 0; j < cols_here; ++j) {
-      const i32 v = apply_bn(tmp[i * kTileN + j], c0 + j, epi);
-      out[(r0 + i) * n + c0 + j] = tcsim::apply_epilogue(v, spec);
-    }
-  }
+  store_int_tile(out, m, n, tm, tn, tmp, epi);
+}
+
+/// Notes the m x n int32 activation matrix a fused to-bit stage never
+/// materialised (nor re-read for requantize and decompose).
+void note_int32_avoided(const tcsim::ExecutionContext& ctx, i64 m, i64 n) {
+  tcsim::Counters avoided;
+  avoided.int32_bytes_avoided =
+      static_cast<u64>(m) * static_cast<u64>(n) * sizeof(i32);
+  ctx.note(avoided);
 }
 
 /// kSpread[v] holds bit i of v in the low bit of byte i.
@@ -495,12 +495,7 @@ void flush_row_planes(i32* acc, i64 n, const tcsim::EpilogueSpec& spec,
     for (i64 j0 = 0; j0 < cn; j0 += 8) {
       u64 x;
       std::memcpy(&x, vals + j0, sizeof(x));
-      u64 t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
-      x ^= t ^ (t << 7);
-      t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
-      x ^= t ^ (t << 14);
-      t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
-      x ^= t ^ (t << 28);
+      x = transpose8x8_bits(x);
       for (int b = 0; b < out_bits; ++b) {
         planes[b][(c0 + j0) / 8] = static_cast<u8>(x >> (8 * b));
       }
@@ -531,11 +526,185 @@ StackedBitTensor gather_bit_output(const Src& src, const StackedBitTensor& x,
     }
     flush_row_planes(acc, n, spec, rows, out_bits);
   });
-  tcsim::Counters avoided;
-  avoided.int32_bytes_avoided =
-      static_cast<u64>(m) * static_cast<u64>(n) * sizeof(i32);
-  resolve_ctx(opt).note(avoided);
+  note_int32_avoided(resolve_ctx(opt), m, n);
   return out;
+}
+
+/// Unpacks lines [line0, line0 + count) of bit planes (<= 8) into line-major
+/// u8 codes over the padded K extent: codes[l * K + k] = sum_b 2^b *
+/// x_b[line0 + l][k]. Both layouts keep a line's K bits contiguous and lines
+/// back to back, so each plane byte spreads into eight consecutive code
+/// bytes with no transpose (little-endian, as everywhere in the row gather).
+void unpack_line_codes(const StackedBitTensor& x, i64 line0, i64 count,
+                       u8* codes) {
+  const int bits = x.bits();
+  const i64 line_bytes = x.plane(0).k_words() * static_cast<i64>(sizeof(u32));
+  const u8* planes[8];
+  for (int b = 0; b < bits; ++b) {
+    planes[b] =
+        reinterpret_cast<const u8*>(x.plane(b).data()) + line0 * line_bytes;
+  }
+  for (i64 at = 0; at < count * line_bytes; ++at) {
+    u64 v = 0;
+    for (int b = 0; b < bits; ++b) v |= kSpread[planes[b][at]] << b;
+    std::memcpy(codes + 8 * at, &v, sizeof(v));
+  }
+}
+
+/// Code-dot update: the integer identity behind Algorithm 1 for two
+/// multi-bit operands, sum_{a,b} 2^(a+b) * popcount(A_a & W_b) = sum_k
+/// code_A[k] * code_W[k], executed literally. W's planes are unpacked once
+/// to u8 code lines (calling thread, workspace code slot). Then one parallel
+/// region over groups of kRowBlocksPerWord row blocks unpacks the group's A
+/// lines (the worker's row-code slot), takes the same survivors() call as
+/// fused_tile_sweep (so tiles_jumped matches), and runs the backend's
+/// dot_code_tile over each run of consecutive surviving K tiles, clipped to
+/// the logical K (codes past it are zero padding). `drain(tm, tn, tile)`
+/// receives each finished 8x8 tile, row-major raw int32, and may overwrite
+/// it. No tile MMAs execute.
+template <typename Drain>
+void code_dot(const StackedBitTensor& a, const StackedBitTensor& w,
+              const BmmOptions& opt, Drain&& drain) {
+  QGTC_CHECK(code_dot_applies(a.bits(), w.bits(), opt),
+             "the code dot needs zero-tile jumping, the AND combine, operands "
+             "of at most 8 bits and the int32 bound (no allow_overflow)");
+  QGTC_CHECK(w.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
+  const DensePlanesSource src(plane_ptrs(a));
+  const i64 kp = src.padded_k();
+  QGTC_CHECK(kp == w.plane(0).padded_rows(), "padded K extents of A and B differ");
+
+  const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
+  const tcsim::SubstrateBackend& be = ctx.backend();
+  const i64 tiles_m = src.tiles_m();
+  const i64 tiles_n = w.plane(0).padded_cols() / kTileN;
+  const i64 k_end = round_up(a.cols(), tcsim::kCodeDotAlign);
+  u8* w_codes = ctx.workspace().code_scratch(w.plane(0).lines() * kp);
+  unpack_line_codes(w, 0, w.plane(0).lines(), w_codes);
+
+  std::vector<std::vector<i64>>& k_lists = ctx.workspace().k_lists(tiles_m);
+  parallel_for_dynamic(0, ceil_div(tiles_m, kRowBlocksPerWord), /*chunk=*/1,
+                       [&](i64 g) {
+    const i64 tm0 = g * kRowBlocksPerWord;
+    const i64 tm1 = std::min(tiles_m, tm0 + kRowBlocksPerWord);
+    u8* a_codes = ctx.workspace().row_codes((tm1 - tm0) * kTileM * kp);
+    unpack_line_codes(a, tm0 * kTileM, (tm1 - tm0) * kTileM, a_codes);
+    tcsim::Counters delta;
+    for (i64 tm = tm0; tm < tm1; ++tm) {
+      auto& list = k_lists[static_cast<std::size_t>(tm)];
+      list.reserve(static_cast<std::size_t>(src.survivor_bound(tm)));
+      delta.tiles_jumped += static_cast<u64>(src.survivors(tm, opt, list));
+      const u8* a_blk = a_codes + (tm - tm0) * kTileM * kp;
+      for (i64 tn = 0; tn < tiles_n; ++tn) {
+        const u8* w_blk = w_codes + tn * kTileN * kp;
+        alignas(64) i32 tile[kTileM * kTileN] = {};
+        i64 codes = 0;
+        for (std::size_t r = 0; r < list.size();) {
+          // One run of consecutive surviving K tiles is one code range.
+          std::size_t e = r + 1;
+          while (e < list.size() && list[e] == list[e - 1] + 1) ++e;
+          const i64 k0 = list[r] * kTileK;
+          const i64 len = std::min(list[e - 1] * kTileK + kTileK, k_end) - k0;
+          be.dot_code_tile(tile, a_blk + k0, kp, w_blk + k0, kp, len);
+          codes += len;
+          r = e;
+        }
+        drain(tm, tn, tile);
+        delta.code_macs += static_cast<u64>(kTileM * kTileN * codes);
+      }
+    }
+    ctx.note(delta);
+  });
+}
+
+/// The fused to-bit epilogue's per-tile writer: requantizes one finished
+/// 8x8 output tile and scatters its bits into the output planes — one word
+/// RMW per (line, plane); an 8-bit lane always sits inside one u32 word
+/// because tile extents divide the 32-bit packing.
+class PlaneTileWriter {
+ public:
+  PlaneTileWriter(StackedBitTensor& out, const FusedEpilogue& epi)
+      : out_(&out),
+        epi_(&epi),
+        spec_{epi.act, epi.rshift,
+              static_cast<i32>((u32{1} << out.bits()) - 1)} {}
+
+  /// Drains a tile sweep's accumulator lanes through the backend's plane
+  /// flush; BN tiles stage through one i32 tile (raw drain, fp32 fold, then
+  /// the shared epilogue + scatter).
+  void operator()(const tcsim::SubstrateBackend& be, i64 tm, i64 tn,
+                  const u64* acc) const {
+    u32* planes[32];
+    const tcsim::PlaneSink sink = sink_for(tm, tn, planes);
+    if (!epi_->use_bn) {
+      be.flush_planes(sink, acc, spec_);
+      return;
+    }
+    alignas(64) i32 q[kTileM * kTileN];
+    be.flush_epilogue(q, kTileN, acc, tcsim::EpilogueSpec{});
+    requantize_scatter(sink, tm, tn, q);
+  }
+
+  /// Drains an exact raw int32 tile (row-major; overwritten).
+  void operator()(i64 tm, i64 tn, i32* q) const {
+    u32* planes[32];
+    requantize_scatter(sink_for(tm, tn, planes), tm, tn, q);
+  }
+
+ private:
+  StackedBitTensor* out_;
+  const FusedEpilogue* epi_;
+  tcsim::EpilogueSpec spec_;
+
+  [[nodiscard]] i64 rows_here(i64 tm) const {
+    return std::min<i64>(kTileM, out_->rows() - tm * kTileM);
+  }
+  [[nodiscard]] i64 cols_here(i64 tn) const {
+    return std::min<i64>(kTileN, out_->cols() - tn * kTileN);
+  }
+
+  tcsim::PlaneSink sink_for(i64 tm, i64 tn, u32** planes) const {
+    const int out_bits = out_->bits();
+    const i64 line_stride = out_->plane(0).k_words();
+    if (out_->layout() == BitLayout::kRowMajorK) {
+      // Line = output row; 8 column bits land in word (tn*8)/32 at offset
+      // (tn%4)*8.
+      const i64 word = (tn * kTileN) / kWordBits;
+      for (int b = 0; b < out_bits; ++b) {
+        planes[b] = out_->plane(b).row_words(tm * kTileM) + word;
+      }
+      return {planes,        line_stride,
+              static_cast<int>((tn * kTileN) % kWordBits),
+              out_bits,      rows_here(tm),
+              cols_here(tn), /*transpose=*/false};
+    }
+    // Line = output column; 8 row bits land in word (tm*8)/32 at offset
+    // (tm%4)*8.
+    const i64 word = (tm * kTileM) / kWordBits;
+    for (int b = 0; b < out_bits; ++b) {
+      planes[b] = out_->plane(b).col_words(tn * kTileN) + word;
+    }
+    return {planes,        line_stride,
+            static_cast<int>((tm * kTileM) % kWordBits),
+            out_bits,      cols_here(tn),
+            rows_here(tm), /*transpose=*/true};
+  }
+
+  void requantize_scatter(const tcsim::PlaneSink& sink, i64 tm, i64 tn,
+                          i32* q) const {
+    for (i64 i = 0; i < rows_here(tm); ++i) {
+      for (i64 j = 0; j < cols_here(tn); ++j) {
+        const i32 v = apply_bn(q[i * kTileN + j], tn * kTileN + j, *epi_);
+        q[i * kTileN + j] = tcsim::apply_epilogue(v, spec_);
+      }
+    }
+    tcsim::scatter_planes(sink, q);
+  }
+};
+
+/// Rejects kernels the update entry points do not run.
+void check_update_kernel(ReuseMode kernel) {
+  QGTC_CHECK(kernel == ReuseMode::kCrossTile || kernel == ReuseMode::kCodeDot,
+             "update stages run the tile sweep (kCrossTile) or the code dot");
 }
 
 }  // namespace
@@ -555,23 +724,31 @@ MatrixI32 bitmm_to_int(const StackedBitTensor& a, const StackedBitTensor& b,
 }
 
 MatrixI32 bitmm_fused_int(const StackedBitTensor& a, const StackedBitTensor& b,
-                          const FusedEpilogue& epi, const BmmOptions& opt) {
+                          const FusedEpilogue& epi, const BmmOptions& opt,
+                          ReuseMode kernel) {
   MatrixI32 out(a.rows(), b.cols());
-  bitmm_fused_int_into(a, b, out, epi, opt);
+  bitmm_fused_int_into(a, b, out, epi, opt, kernel);
   return out;
 }
 
 void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
                           MatrixI32& out, const FusedEpilogue& epi,
-                          const BmmOptions& opt) {
+                          const BmmOptions& opt, ReuseMode kernel) {
   QGTC_CHECK(a.cols() == b.rows(), "bitmm_fused_int: inner dimensions differ");
   QGTC_CHECK(out.rows() == a.rows() && out.cols() == b.cols(),
              "bitmm_fused_int_into: output shape mismatch");
+  check_update_kernel(kernel);
   if (!opt.allow_overflow) check_accumulator_bounds(a.cols(), a.bits(), b.bits());
   const i64 m = a.rows(), n = b.cols();
+  if (kernel == ReuseMode::kCodeDot) {
+    code_dot(a, b, opt, [&](i64 tm, i64 tn, const i32* q) {
+      store_int_tile(out.data(), m, n, tm, tn, q, epi);
+    });
+    return;
+  }
   const tcsim::SubstrateBackend& be = resolve_ctx(opt).backend();
   fused_tile_sweep(DensePlanesSource(plane_ptrs(a)), plane_ptrs(b), opt,
-                   /*parallel_over_n=*/false,
+                   /*col_major_out=*/false,
                    [&](i64 tm, i64 tn, const u64* acc) {
                      drain_int_tile(be, out.data(), m, n, tm, tn, acc, epi);
                    });
@@ -579,9 +756,9 @@ void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
 
 namespace {
 
-/// Shared implementation of the fused to-bit epilogue: requantize each tile
-/// value and scatter its bits into the output planes. `src` is the A-side
-/// tile source (dense planes or the tile-CSR adjacency).
+/// Shared implementation of the fused to-bit epilogue over the tile sweep:
+/// requantize each tile and scatter its bits into the output planes. `src`
+/// is the A-side tile source (dense planes or the tile-CSR adjacency).
 template <typename Src>
 StackedBitTensor fused_bit_output(const Src& src,
                                   const std::vector<const BitMatrix*>& bp,
@@ -593,70 +770,14 @@ StackedBitTensor fused_bit_output(const Src& src,
   // int32 matrix in "global memory" (§4.5).
   StackedBitTensor out =
       StackedBitTensor::zeros(m, n, out_bits, out_layout, out_pad);
-  const i32 qmax = static_cast<i32>((u32{1} << out_bits) - 1);
-  const tcsim::EpilogueSpec spec{epi.act, epi.rshift, qmax};
+  const PlaneTileWriter write(out, epi);
   const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
   const tcsim::SubstrateBackend& be = ctx.backend();
-  const i64 line_stride = out.plane(0).k_words();
-
-  const bool parallel_over_n = (out_layout == BitLayout::kColMajorK);
-  fused_tile_sweep(
-      src, bp, opt, parallel_over_n,
-      [&](i64 tm, i64 tn, const u64* acc) {
-        // Requantize + scatter the 8x8 tile straight from the accumulator
-        // lanes: one word RMW per (line, plane) — an 8-bit lane always sits
-        // inside one u32 word because tile extents divide the 32-bit packing.
-        const i64 rows_here = std::min<i64>(kTileM, m - tm * kTileM);
-        const i64 cols_here = std::min<i64>(kTileN, n - tn * kTileN);
-        u32* planes[32];
-        tcsim::PlaneSink sink;
-        if (out_layout == BitLayout::kRowMajorK) {
-          // Line = output row; 8 column bits land in word (tn*8)/32 at
-          // offset (tn%4)*8.
-          const i64 word = (tn * kTileN) / kWordBits;
-          for (int b = 0; b < out_bits; ++b) {
-            planes[b] = out.plane(b).row_words(tm * kTileM) + word;
-          }
-          sink = {planes,    line_stride,
-                  static_cast<int>((tn * kTileN) % kWordBits),
-                  out_bits,  rows_here,
-                  cols_here, /*transpose=*/false};
-        } else {
-          // Line = output column; 8 row bits land in word (tm*8)/32 at
-          // offset (tm%4)*8.
-          const i64 word = (tm * kTileM) / kWordBits;
-          for (int b = 0; b < out_bits; ++b) {
-            planes[b] = out.plane(b).col_words(tn * kTileN) + word;
-          }
-          sink = {planes,    line_stride,
-                  static_cast<int>((tm * kTileM) % kWordBits),
-                  out_bits,  cols_here,
-                  rows_here, /*transpose=*/true};
-        }
-        if (!epi.use_bn) {
-          be.flush_planes(sink, acc, spec);
-          return;
-        }
-        // BN tiles stage through one stack tile: raw drain, fp32 fold, then
-        // the shared epilogue + scatter.
-        alignas(64) i32 q[kTileM * kTileN];
-        be.flush_epilogue(q, kTileN, acc, tcsim::EpilogueSpec{});
-        for (i64 i = 0; i < rows_here; ++i) {
-          for (i64 j = 0; j < cols_here; ++j) {
-            const i32 v = apply_bn(q[i * kTileN + j], tn * kTileN + j, epi);
-            q[i * kTileN + j] = tcsim::apply_epilogue(v, spec);
-          }
-        }
-        tcsim::scatter_planes(sink, q);
-      });
-
-  // The whole epilogue ran tile-local: the m x n int32 activation matrix the
-  // unfused path would have materialised (plus re-read for requantize and
-  // decompose) never existed.
-  tcsim::Counters avoided;
-  avoided.int32_bytes_avoided =
-      static_cast<u64>(m) * static_cast<u64>(n) * sizeof(i32);
-  ctx.note(avoided);
+  fused_tile_sweep(src, bp, opt, out_layout == BitLayout::kColMajorK,
+                   [&](i64 tm, i64 tn, const u64* acc) {
+                     write(be, tm, tn, acc);
+                   });
+  note_int32_avoided(ctx, m, n);
   return out;
 }
 
@@ -666,10 +787,19 @@ StackedBitTensor bitmm_fused_bit(const StackedBitTensor& a,
                                  const StackedBitTensor& b, int out_bits,
                                  const FusedEpilogue& epi,
                                  const BmmOptions& opt, PadPolicy out_pad,
-                                 BitLayout out_layout) {
+                                 BitLayout out_layout, ReuseMode kernel) {
   QGTC_CHECK(a.cols() == b.rows(), "bitmm_fused_bit: inner dimensions differ");
   QGTC_CHECK(out_bits >= 1 && out_bits <= 31, "out_bits must be in [1,31]");
+  check_update_kernel(kernel);
   if (!opt.allow_overflow) check_accumulator_bounds(a.cols(), a.bits(), b.bits());
+  if (kernel == ReuseMode::kCodeDot) {
+    StackedBitTensor out = StackedBitTensor::zeros(a.rows(), b.cols(), out_bits,
+                                                   out_layout, out_pad);
+    const PlaneTileWriter write(out, epi);
+    code_dot(a, b, opt, [&](i64 tm, i64 tn, i32* q) { write(tm, tn, q); });
+    note_int32_avoided(resolve_ctx(opt), a.rows(), b.cols());
+    return out;
+  }
   return fused_bit_output(DensePlanesSource(plane_ptrs(a)), plane_ptrs(b),
                           a.rows(), b.cols(), out_bits, epi, opt, out_pad,
                           out_layout);
@@ -688,6 +818,7 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
   QGTC_CHECK(a_bin.cols() == x.rows(), "aggregate_1bit: dimension mismatch");
   QGTC_CHECK(out.rows() == a_bin.rows() && out.cols() == x.cols(),
              "aggregate_1bit_into: output shape mismatch");
+  QGTC_CHECK(mode != ReuseMode::kCodeDot, "the code dot is an update kernel");
   if (!opt.allow_overflow) check_accumulator_bounds(a_bin.cols(), 1, x.bits());
   const i64 m = a_bin.rows(), n = x.cols();
   if (mode == ReuseMode::kRowGather) {
@@ -714,7 +845,7 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
   // Figure 6(b): cross-tile reduction via the fused sweep with a single
   // 1-bit A plane (the stored tiles only, for the tile-CSR source).
   const tcsim::SubstrateBackend& be = resolve_ctx(opt).backend();
-  fused_tile_sweep(src, plane_ptrs(x), opt, /*parallel_over_n=*/false,
+  fused_tile_sweep(src, plane_ptrs(x), opt, /*col_major_out=*/false,
                    [&](i64 tm, i64 tn, const u64* acc) {
                      drain_int_tile(be, out.data(), m, n, tm, tn, acc,
                                     FusedEpilogue{});
@@ -765,6 +896,7 @@ StackedBitTensor aggregate_fused_bit_impl(const AdjT& a_bin, const Src& src,
                                           PadPolicy out_pad, ReuseMode mode) {
   QGTC_CHECK(a_bin.cols() == x.rows(), "aggregate_fused_bit: dimension mismatch");
   QGTC_CHECK(out_bits >= 1 && out_bits <= 31, "out_bits must be in [1,31]");
+  QGTC_CHECK(mode != ReuseMode::kCodeDot, "the code dot is an update kernel");
   if (!opt.allow_overflow) check_accumulator_bounds(a_bin.cols(), 1, x.bits());
   if (mode == ReuseMode::kRowGather) {
     return gather_bit_output(src, x, a_bin.rows(), out_bits, epi, opt, out_pad);

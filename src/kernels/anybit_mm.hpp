@@ -20,15 +20,20 @@
 
 namespace qgtc {
 
-/// Aggregation schedules (1-bit A x s-bit X). The first two are Figure 6's
-/// tile-MMA reduction orders; the third adds the neighbours' quantized codes
-/// directly. All three compute the same exact integers.
+/// Stage kernels. Aggregations (1-bit A x s-bit X) take the first three:
+/// Figure 6's two tile-MMA reduction orders, and a gather that adds the
+/// neighbours' quantized codes directly. Updates (s-bit A x t-bit W) take
+/// kCrossTile (the tile sweep) or kCodeDot. Every kernel computes the same
+/// exact integers.
 enum class ReuseMode {
   kCrossBit,   // (a): one full pass per bit-plane; A tiles re-loaded per bit
   kCrossTile,  // (b): per non-zero A tile, sweep all bit-planes (O(1) loads)
   kRowGather,  // per surviving A tile, walk its set bits and add each
                // neighbour's unpacked u8 code row (no tile MMAs); see
                // row_gather_applies for when it is allowed
+  kCodeDot,    // updates only: unpack both operands to u8 codes and take
+               // exact int32 dot products over the surviving K tiles (no
+               // tile MMAs); see code_dot_applies for when it is allowed
 };
 
 /// Fused epilogue applied to each finished 8x8 int32 output tile (§4.5).
@@ -46,6 +51,20 @@ struct FusedEpilogue {
   int rshift = 0;
 };
 
+/// True when the code dot may run an `a_bits` x `b_bits` update with `opt`:
+/// row_gather_applies to both operands (codes that fit in u8, AND combine,
+/// zero-tile jumping, the int32 bound). sum_{a,b} 2^(a+b) popcount(A_a ∧
+/// W_b) is then exactly the int32 dot product of the two operands' codes,
+/// so the code dot is bit-identical to the tile sweep.
+[[nodiscard]] bool code_dot_applies(int a_bits, int b_bits,
+                                    const BmmOptions& opt);
+
+/// Plane pairs (s·t) from which an update stage runs the code dot instead of
+/// the tile sweep: the sweep's cost grows with s·t, the code dot's does not.
+/// DESIGN.md ("Update kernels") has the A/B table, and why the constant sits
+/// above the measured kernel crossover.
+inline constexpr int kCodeDotMinPlanePairs = 32;
+
 /// bitMM2Int (paper §5): C = A(s-bit) x B(t-bit) with int32 output.
 /// Straightforward Algorithm-1 composition: one shifted BMM pass per
 /// (s, t) bit-plane pair.
@@ -55,9 +74,12 @@ MatrixI32 bitmm_to_int(const StackedBitTensor& a, const StackedBitTensor& b,
 /// Fused single-pass variant of bitMM2Int: per output tile, all bit-plane
 /// pairs and K tiles are reduced locally, then the epilogue (ReLU/BN) runs
 /// before the single store. This is the production path for output layers.
+/// `kernel` is kCrossTile (the tile sweep) or kCodeDot (which needs
+/// code_dot_applies); both are bit-identical and jump the same tiles.
 MatrixI32 bitmm_fused_int(const StackedBitTensor& a, const StackedBitTensor& b,
                           const FusedEpilogue& epi = {},
-                          const BmmOptions& opt = {});
+                          const BmmOptions& opt = {},
+                          ReuseMode kernel = ReuseMode::kCrossTile);
 
 /// In-place variant of bitmm_fused_int writing into caller-provided storage
 /// (typically the ExecutionContext workspace's int32_scratch — the unfused
@@ -65,7 +87,8 @@ MatrixI32 bitmm_fused_int(const StackedBitTensor& a, const StackedBitTensor& b,
 /// every element is assigned.
 void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
                           MatrixI32& out, const FusedEpilogue& epi = {},
-                          const BmmOptions& opt = {});
+                          const BmmOptions& opt = {},
+                          ReuseMode kernel = ReuseMode::kCrossTile);
 
 /// bitMM2Bit (paper §5): fused any-bit MM whose epilogue requantizes to
 /// `out_bits` and bit-decomposes straight into packed planes laid out as the
@@ -74,12 +97,14 @@ void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
 /// `out_layout` chooses which side of the next MM the result feeds:
 /// kRowMajorK when it becomes the next A operand (GCN hidden layers),
 /// kColMajorK when it becomes the next B operand (GIN update-then-aggregate).
+/// `kernel` as for bitmm_fused_int.
 StackedBitTensor bitmm_fused_bit(const StackedBitTensor& a,
                                  const StackedBitTensor& b, int out_bits,
                                  const FusedEpilogue& epi = {},
                                  const BmmOptions& opt = {},
                                  PadPolicy out_pad = PadPolicy::kOperand128,
-                                 BitLayout out_layout = BitLayout::kRowMajorK);
+                                 BitLayout out_layout = BitLayout::kRowMajorK,
+                                 ReuseMode kernel = ReuseMode::kCrossTile);
 
 /// True when the row gather may run an aggregation over `x_bits`-bit codes
 /// with `opt`: zero-tile jumping on, the AND combine, codes that fit in u8,

@@ -16,6 +16,23 @@
 namespace qgtc::tcsim {
 namespace {
 
+/// The code dot's reference inner products (SubstrateBackend's base hook,
+/// and the fallback of vector hooks whose ISA the running CPU lacks).
+void dot_code_tile_ref(i32* acc, const u8* a, i64 a_stride, const u8* b,
+                       i64 b_stride, i64 len) {
+  for (int i = 0; i < kTileM; ++i) {
+    for (int j = 0; j < kTileN; ++j) {
+      const u8* ai = a + i * a_stride;
+      const u8* bj = b + j * b_stride;
+      i32 sum = 0;
+      for (i64 k = 0; k < len; ++k) {
+        sum += static_cast<i32>(ai[k]) * static_cast<i32>(bj[k]);
+      }
+      acc[i * kTileN + j] += sum;
+    }
+  }
+}
+
 // ------------------------------------------------------------------------
 // Portable u64 micro-kernels. Accumulator layout: u64[8][8] row-major
 // (lanes 64..127 unused). These are the semantic reference — dot128 shape.
@@ -207,6 +224,83 @@ struct Avx512Kernels {
     for (int v = 0; v < NV; ++v) _mm512_storeu_si512(acc + 16 * v, s[v]);
   }
 
+#if defined(__AVX512BW__)
+  /// 32 u8 codes widened to i16.
+  static __m512i widen_codes(const u8* p) {
+    return _mm512_cvtepu8_epi16(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
+
+  /// s + a . b over 16 i16 K-pairs per i32 lane (VNNI vpdpwssd when compiled
+  /// in, else vpmaddwd + add; the same exact sums either way).
+  static __m512i dot_pairs(__m512i s, __m512i a, __m512i b) {
+#if defined(__AVX512VNNI__)
+    return _mm512_dpwssd_epi32(s, a, b);
+#else
+    return _mm512_add_epi32(s, _mm512_madd_epi16(a, b));
+#endif
+  }
+
+  /// Lane q of the result is the sum of v[q]'s 16 lanes (v is consumed).
+  /// Each fold adds the even and odd lanes of two vectors into one (x's pair
+  /// sums in the low half, y's in the high half); four rounds of folds leave
+  /// one lane per input vector, in input order.
+  static __m512i reduce16(__m512i (&v)[16]) {
+    const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                           20, 22, 24, 26, 28, 30);
+    const __m512i odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19,
+                                          21, 23, 25, 27, 29, 31);
+    for (int n = 16; n > 1; n /= 2) {
+      for (int i = 0; i < n / 2; ++i) {
+        const __m512i x = v[2 * i], y = v[2 * i + 1];
+        v[i] = _mm512_add_epi32(_mm512_permutex2var_epi32(x, even, y),
+                                _mm512_permutex2var_epi32(x, odd, y));
+      }
+    }
+    return v[0];
+  }
+
+  /// One 4x4 quadrant per pass: 16 i32 accumulators over 32-code chunks,
+  /// four widened B lines held across the four A lines.
+  static void dot_code_tile(i32* acc, const u8* a, i64 a_stride, const u8* b,
+                            i64 b_stride, i64 len) {
+    static const bool ok = __builtin_cpu_supports("avx512bw")
+#if defined(__AVX512VNNI__)
+                           && __builtin_cpu_supports("avx512vnni")
+#endif
+        ;
+    if (!ok) {
+      dot_code_tile_ref(acc, a, a_stride, b, b_stride, len);
+      return;
+    }
+    for (int i0 = 0; i0 < kTileM; i0 += 4) {
+      for (int j0 = 0; j0 < kTileN; j0 += 4) {
+        __m512i s[16];
+        for (__m512i& v : s) v = _mm512_setzero_si512();
+        for (i64 k = 0; k < len; k += kCodeDotAlign) {
+          __m512i bv[4];
+          for (int j = 0; j < 4; ++j) {
+            bv[j] = widen_codes(b + (j0 + j) * b_stride + k);
+          }
+          for (int i = 0; i < 4; ++i) {
+            const __m512i av = widen_codes(a + (i0 + i) * a_stride + k);
+            for (int j = 0; j < 4; ++j) {
+              s[4 * i + j] = dot_pairs(s[4 * i + j], av, bv[j]);
+            }
+          }
+        }
+        alignas(64) i32 sums[16];
+        _mm512_store_si512(sums, reduce16(s));
+        for (int i = 0; i < 4; ++i) {
+          for (int j = 0; j < 4; ++j) {
+            acc[(i0 + i) * kTileN + j0 + j] += sums[4 * i + j];
+          }
+        }
+      }
+    }
+  }
+#endif  // AVX512BW
+
   static void add_code_rows(i32* acc, const u8* codes, i64 width,
                             const i32* rows, i64 count) {
     for (i64 j0 = 0; j0 < width; j0 += 64) {
@@ -301,6 +395,48 @@ struct Avx2Kernels {
       }
     }
   }
+
+  /// One 2x4 block per pass (16 ymm registers): eight i32 accumulators over
+  /// 16-code chunks (vpmaddwd on i16 K-pairs), then a hadd tree.
+  static void dot_code_tile(i32* acc, const u8* a, i64 a_stride, const u8* b,
+                            i64 b_stride, i64 len) {
+    const auto widen = [](const u8* p) {
+      return _mm256_cvtepu8_epi16(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+    };
+    for (int i0 = 0; i0 < kTileM; i0 += 2) {
+      for (int j0 = 0; j0 < kTileN; j0 += 4) {
+        __m256i s[8];
+        for (__m256i& v : s) v = _mm256_setzero_si256();
+        for (i64 k = 0; k < len; k += 16) {
+          __m256i bv[4];
+          for (int j = 0; j < 4; ++j) bv[j] = widen(b + (j0 + j) * b_stride + k);
+          for (int i = 0; i < 2; ++i) {
+            const __m256i av = widen(a + (i0 + i) * a_stride + k);
+            for (int j = 0; j < 4; ++j) {
+              s[4 * i + j] = _mm256_add_epi32(s[4 * i + j],
+                                              _mm256_madd_epi16(av, bv[j]));
+            }
+          }
+        }
+        // Lane q of r is the sum of s[q]'s eight lanes.
+        const __m256i g0 = _mm256_hadd_epi32(_mm256_hadd_epi32(s[0], s[1]),
+                                             _mm256_hadd_epi32(s[2], s[3]));
+        const __m256i g1 = _mm256_hadd_epi32(_mm256_hadd_epi32(s[4], s[5]),
+                                             _mm256_hadd_epi32(s[6], s[7]));
+        const __m256i r =
+            _mm256_add_epi32(_mm256_permute2x128_si256(g0, g1, 0x20),
+                             _mm256_permute2x128_si256(g0, g1, 0x31));
+        alignas(32) i32 sums[8];
+        _mm256_store_si256(reinterpret_cast<__m256i*>(sums), r);
+        for (int i = 0; i < 2; ++i) {
+          for (int j = 0; j < 4; ++j) {
+            acc[(i0 + i) * kTileN + j0 + j] += sums[4 * i + j];
+          }
+        }
+      }
+    }
+  }
 };
 
 #endif  // AVX2
@@ -362,6 +498,18 @@ class BackendImpl final : public SubstrateBackend {
       Kernels::add_code_rows(acc, codes, width, rows, count);
     } else {
       SubstrateBackend::add_code_rows(acc, codes, width, rows, count);
+    }
+  }
+  void dot_code_tile(i32* acc, const u8* a, i64 a_stride, const u8* b,
+                     i64 b_stride, i64 len) const override {
+    // The AVX-512 (BW) and AVX2 micro-kernels bring a widened i16 dot
+    // product; the others keep the base loop.
+    if constexpr (requires {
+                    Kernels::dot_code_tile(acc, a, a_stride, b, b_stride, len);
+                  }) {
+      Kernels::dot_code_tile(acc, a, a_stride, b, b_stride, len);
+    } else {
+      SubstrateBackend::dot_code_tile(acc, a, a_stride, b, b_stride, len);
     }
   }
 
@@ -465,6 +613,12 @@ void SubstrateBackend::add_code_rows(i32* acc, const u8* codes, i64 width,
     const u8* src = codes + static_cast<i64>(rows[t]) * width;
     for (i64 j = 0; j < width; ++j) acc[j] += static_cast<i32>(src[j]);
   }
+}
+
+void SubstrateBackend::dot_code_tile(i32* acc, const u8* a, i64 a_stride,
+                                     const u8* b, i64 b_stride,
+                                     i64 len) const {
+  dot_code_tile_ref(acc, a, a_stride, b, b_stride, len);
 }
 
 const SubstrateBackend& backend(BackendKind k) {

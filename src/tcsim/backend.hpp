@@ -128,21 +128,21 @@ struct PlaneSink {
 /// Scatter a requantized 8x8 tile (`q`, row-major i32[64], values already in
 /// [0, 2^out_bits)) into packed bit planes — one word RMW per (line, plane).
 /// Shared by every backend's flush_planes and the unfused fallback paths.
+/// Per line and byte slice of the values, the line's (up to) 8 lane bytes
+/// narrow into a u64 and one 8x8 bit transpose yields 8 planes' lane bits.
 inline void scatter_planes(const PlaneSink& s, const i32* q) {
   for (i64 l = 0; l < s.lines; ++l) {
-    for (int b = 0; b < s.out_bits; ++b) {
-      u32 lane = 0;
-      if (!s.transpose) {
-        const i32* row = q + l * 8;
-        for (i64 j = 0; j < s.lanes; ++j) {
-          lane |= static_cast<u32>((row[j] >> b) & 1) << j;
-        }
-      } else {
-        for (i64 i = 0; i < s.lanes; ++i) {
-          lane |= static_cast<u32>((q[i * 8 + l] >> b) & 1) << i;
-        }
+    for (int b0 = 0; b0 < s.out_bits; b0 += 8) {
+      u64 x = 0;
+      for (i64 i = 0; i < s.lanes; ++i) {
+        const i32 v = s.transpose ? q[i * 8 + l] : q[l * 8 + i];
+        x |= static_cast<u64>((static_cast<u32>(v) >> b0) & 0xffu) << (8 * i);
       }
-      if (lane != 0) s.planes[b][l * s.line_stride] |= lane << s.shift;
+      x = transpose8x8_bits(x);
+      for (int b = b0; b < s.out_bits && b < b0 + 8; ++b) {
+        const u32 lane = static_cast<u32>((x >> (8 * (b - b0))) & 0xffu);
+        if (lane != 0) s.planes[b][l * s.line_stride] |= lane << s.shift;
+      }
     }
   }
 }
@@ -213,11 +213,23 @@ class SubstrateBackend {
   /// override is bit-identical to the base scalar loop.
   virtual void add_code_rows(i32* acc, const u8* codes, i64 width,
                              const i32* rows, i64 count) const;
+
+  /// Code-dot hook: acc[i * 8 + j] += sum over k < len of a[i * a_stride + k]
+  /// * b[j * b_stride + k], for i, j < 8 — one 8x8 output tile's inner
+  /// products over unpacked u8 codes (eight K-contiguous lines per operand).
+  /// `len` is a multiple of kCodeDotAlign. Exact int32 arithmetic (callers
+  /// bound the sum), so every override is bit-identical to the base scalar
+  /// loop.
+  virtual void dot_code_tile(i32* acc, const u8* a, i64 a_stride, const u8* b,
+                             i64 b_stride, i64 len) const;
 };
 
 /// Column granularity of the row gather's unpacked code rows (and of the
 /// add_code_rows width): one 128-bit load of u8 codes.
 inline constexpr i64 kCodeRowAlign = 16;
+
+/// K granularity of dot_code_tile: 32 u8 codes, one 512-bit vector of i16.
+inline constexpr i64 kCodeDotAlign = 32;
 
 /// Registry lookup. Instances are process-lifetime singletons; kSimd and
 /// kBlocked resolve their micro-kernel once at first use from compile-time

@@ -45,6 +45,13 @@ u8* Workspace::code_scratch(i64 bytes) {
   return code_scratch_.data();
 }
 
+u8* Workspace::row_codes(i64 bytes) {
+  if (static_cast<i64>(row_codes_.size()) < bytes) {
+    row_codes_.resize(static_cast<std::size_t>(bytes));
+  }
+  return row_codes_.data();
+}
+
 i32* Workspace::gather_lanes(i64 lanes) {
   if (static_cast<i64>(gather_lanes_.size()) < lanes) {
     gather_lanes_.resize(static_cast<std::size_t>(lanes));
@@ -56,7 +63,7 @@ std::size_t Workspace::footprint_bytes() const {
   std::size_t b = static_cast<std::size_t>(padded_acc_.size()) * sizeof(i32) +
                   tile_refs_.capacity() * sizeof(SparseTileRef) +
                   acc_lanes_.size() * sizeof(u64) + code_scratch_.size() +
-                  gather_lanes_.size() * sizeof(i32);
+                  row_codes_.size() + gather_lanes_.size() * sizeof(i32);
   for (const auto& m : int32_scratch_) {
     b += static_cast<std::size_t>(m.size()) * sizeof(i32);
   }
@@ -88,6 +95,7 @@ void ExecutionContext::note(const Counters& delta) const {
   int32_bytes_avoided_.fetch_add(delta.int32_bytes_avoided,
                                  std::memory_order_relaxed);
   gather_edges_.fetch_add(delta.gather_edges, std::memory_order_relaxed);
+  code_macs_.fetch_add(delta.code_macs, std::memory_order_relaxed);
 }
 
 Counters ExecutionContext::counters() const {
@@ -100,6 +108,7 @@ Counters ExecutionContext::counters() const {
   c.tiles_jumped = tiles_jumped_.load(std::memory_order_relaxed);
   c.int32_bytes_avoided = int32_bytes_avoided_.load(std::memory_order_relaxed);
   c.gather_edges = gather_edges_.load(std::memory_order_relaxed);
+  c.code_macs = code_macs_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -115,6 +124,7 @@ void ExecutionContext::reset_counters() {
   tiles_jumped_.store(0, std::memory_order_relaxed);
   int32_bytes_avoided_.store(0, std::memory_order_relaxed);
   gather_edges_.store(0, std::memory_order_relaxed);
+  code_macs_.store(0, std::memory_order_relaxed);
 }
 
 const ExecutionContext& ExecutionContext::default_context() {

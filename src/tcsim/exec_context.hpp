@@ -54,9 +54,15 @@ class Workspace {
   u64* acc_lanes(i64 lanes);
 
   /// Uninitialised, 64-byte-aligned u8 scratch: the row gather's unpacked
-  /// quantized code rows (one per stage, filled by the calling thread and
-  /// read by the stage's inner threads).
+  /// quantized code rows, or the code dot's unpacked weight codes (one per
+  /// stage, filled by the calling thread and read by the stage's inner
+  /// threads).
   u8* code_scratch(i64 bytes);
+
+  /// Uninitialised, 64-byte-aligned u8 scratch: the code dot's unpacked
+  /// activation codes for the row blocks one worker owns (distinct from
+  /// code_scratch, which the calling thread holds while it works too).
+  u8* row_codes(i64 bytes);
 
   /// Uninitialised, 64-byte-aligned i32 scratch: the row gather's per-thread
   /// accumulator row and neighbour list.
@@ -72,6 +78,7 @@ class Workspace {
   std::vector<SparseTileRef> tile_refs_;
   AlignedVector<u64> acc_lanes_;
   AlignedVector<u8> code_scratch_;
+  AlignedVector<u8> row_codes_;
   AlignedVector<i32> gather_lanes_;
 };
 
@@ -122,6 +129,7 @@ class ExecutionContext {
   mutable std::atomic<u64> tiles_jumped_{0};
   mutable std::atomic<u64> int32_bytes_avoided_{0};
   mutable std::atomic<u64> gather_edges_{0};
+  mutable std::atomic<u64> code_macs_{0};
 };
 
 }  // namespace qgtc::tcsim

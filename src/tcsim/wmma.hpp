@@ -55,6 +55,7 @@ struct Counters {
   u64 int32_bytes_avoided = 0;  // int32 intermediate bytes fused epilogues
                                 // never materialised
   u64 gather_edges = 0;    // neighbour code rows added by the row gather
+  u64 code_macs = 0;       // code multiply-accumulates run by the code dot
 
   Counters& operator+=(const Counters& o) {
     bmma_ops += o.bmma_ops;
@@ -64,6 +65,7 @@ struct Counters {
     tiles_jumped += o.tiles_jumped;
     int32_bytes_avoided += o.int32_bytes_avoided;
     gather_edges += o.gather_edges;
+    code_macs += o.code_macs;
     return *this;
   }
 };

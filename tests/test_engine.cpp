@@ -8,6 +8,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace qgtc::core {
@@ -113,17 +114,22 @@ TEST(Engine, EpochBitIdenticalAtOneAndFourThreads) {
   // Results must not depend on the thread count: one epoch on a single
   // thread vs four OpenMP threads (inside each forward pass, and across
   // inter-batch workers), in both epoch modes, logits and counters alike.
+  // 8-bit GIN runs its updates on the code dot, whose kColMajorK outputs
+  // share plane words between row blocks.
   const Dataset ds = small_dataset();
   const int saved = num_threads();
-  for (const gnn::ModelKind kind :
-       {gnn::ModelKind::kClusterGCN, gnn::ModelKind::kBatchedGIN}) {
+  for (const auto [kind, bits] :
+       {std::pair{gnn::ModelKind::kClusterGCN, 4},
+        std::pair{gnn::ModelKind::kBatchedGIN, 4},
+        std::pair{gnn::ModelKind::kBatchedGIN, 8}}) {
     for (const bool streaming : {false, true}) {
-      EngineConfig cfg = small_config(kind, 4);
+      EngineConfig cfg = small_config(kind, bits);
       if (streaming) {
         cfg.mode = RunMode::streaming_pipeline(/*depth=*/2, /*prepare=*/2,
                                                RunMode::Adjacency::kTileSparse);
       }
-      const std::string tag = std::string(gnn::model_name(kind)) +
+      const std::string tag = std::string(gnn::model_name(kind)) + " " +
+                              std::to_string(bits) + "-bit" +
                               (streaming ? " streaming" : " precomputed");
       QgtcEngine engine(ds, cfg);
       set_num_threads(1);
@@ -139,9 +145,11 @@ TEST(Engine, EpochBitIdenticalAtOneAndFourThreads) {
         EXPECT_EQ(four.bmma_ops, one.bmma_ops) << tag;
         EXPECT_EQ(four.tiles_jumped, one.tiles_jumped) << tag;
         EXPECT_EQ(four.gather_edges, one.gather_edges) << tag;
+        EXPECT_EQ(four.code_macs, one.code_macs) << tag;
         EXPECT_EQ(four.int32_bytes_avoided, one.int32_bytes_avoided) << tag;
       }
       EXPECT_GT(one.gather_edges, 0) << tag;
+      EXPECT_EQ(one.code_macs > 0, bits == 8) << tag;
     }
   }
   set_num_threads(saved);

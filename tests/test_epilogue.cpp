@@ -186,29 +186,36 @@ ModelRun run_model(const ModelFixture& f, const gnn::GnnConfig& cfg,
 // The tentpole parity claim: fused and unfused model passes produce
 // bit-identical logits AND the identical tile schedule (bmma_ops,
 // tiles_jumped) on every backend × adjacency layout, while only the fused
-// pass skips int32 intermediates. (frag_loads are deliberately not compared:
-// the fused col-major plane writer parallelises over output columns, which
-// re-loads A fragments in a different — but counted — pattern.)
+// pass skips int32 intermediates. (frag_loads are not compared: they count
+// A fragment loads per schedule, which is not part of this claim.)
 TEST(Epilogue, ModelParityAcrossBackendsAndLayouts) {
   const ModelFixture f;
   for (const auto kind : tcsim::all_backends()) {
     for (const auto mk :
          {gnn::ModelKind::kClusterGCN, gnn::ModelKind::kBatchedGIN}) {
-      for (const bool sparse : {false, true}) {
-        gnn::GnnConfig fused_cfg = f.config(mk, 4, Activation::kRelu);
-        fused_cfg.fused_epilogue = true;
-        gnn::GnnConfig unfused_cfg = fused_cfg;
-        unfused_cfg.fused_epilogue = false;
-        const ModelRun fused = run_model(f, fused_cfg, kind, sparse);
-        const ModelRun unfused = run_model(f, unfused_cfg, kind, sparse);
-        const std::string tag = std::string(tcsim::backend_name(kind)) + "/" +
-                                gnn::model_name(mk) +
-                                (sparse ? "/sparse" : "/dense");
-        EXPECT_EQ(fused.logits, unfused.logits) << tag;
-        EXPECT_EQ(fused.stats.bmma_ops, unfused.stats.bmma_ops) << tag;
-        EXPECT_EQ(fused.stats.tiles_jumped, unfused.stats.tiles_jumped) << tag;
-        EXPECT_GT(fused.stats.int32_bytes_avoided, 0) << tag;
-        EXPECT_EQ(unfused.stats.int32_bytes_avoided, 0) << tag;
+      // 8-bit GIN updates run the code dot (fused into both plane layouts).
+      for (const int bits : {4, 8}) {
+        if (bits == 8 && mk == gnn::ModelKind::kClusterGCN) continue;
+        for (const bool sparse : {false, true}) {
+          gnn::GnnConfig fused_cfg = f.config(mk, bits, Activation::kRelu);
+          fused_cfg.fused_epilogue = true;
+          gnn::GnnConfig unfused_cfg = fused_cfg;
+          unfused_cfg.fused_epilogue = false;
+          const ModelRun fused = run_model(f, fused_cfg, kind, sparse);
+          const ModelRun unfused = run_model(f, unfused_cfg, kind, sparse);
+          const std::string tag = std::string(tcsim::backend_name(kind)) +
+                                  "/" + gnn::model_name(mk) + "/" +
+                                  std::to_string(bits) +
+                                  (sparse ? "/sparse" : "/dense");
+          EXPECT_EQ(fused.logits, unfused.logits) << tag;
+          EXPECT_EQ(fused.stats.bmma_ops, unfused.stats.bmma_ops) << tag;
+          EXPECT_EQ(fused.stats.tiles_jumped, unfused.stats.tiles_jumped)
+              << tag;
+          EXPECT_EQ(fused.stats.code_macs, unfused.stats.code_macs) << tag;
+          EXPECT_EQ(fused.stats.code_macs > 0, bits == 8) << tag;
+          EXPECT_GT(fused.stats.int32_bytes_avoided, 0) << tag;
+          EXPECT_EQ(unfused.stats.int32_bytes_avoided, 0) << tag;
+        }
       }
     }
   }

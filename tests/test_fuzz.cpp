@@ -28,6 +28,16 @@ MatrixI32 random_codes(Rng& rng, i64 rows, i64 cols, int bits, float zero_frac) 
   return m;
 }
 
+/// Every plane word of a packed tensor, padding included.
+std::vector<u32> plane_words(const StackedBitTensor& t) {
+  std::vector<u32> w;
+  for (int b = 0; b < t.bits(); ++b) {
+    const BitMatrix& p = t.plane(b);
+    w.insert(w.end(), p.data(), p.data() + p.bytes() / 4);
+  }
+  return w;
+}
+
 /// One fuzz round: random (m, k, n, s, t, densities, jump) — full pipeline
 /// vs integer reference.
 class PipelineFuzz : public ::testing::TestWithParam<int> {};
@@ -37,8 +47,8 @@ TEST_P(PipelineFuzz, AnyBitPipelineMatchesReference) {
   const i64 m = rng.next_in(1, 70);
   const i64 k = rng.next_in(1, 300);
   const i64 n = rng.next_in(1, 50);
-  const int s = static_cast<int>(rng.next_in(1, 6));
-  const int t = static_cast<int>(rng.next_in(1, 6));
+  const int s = static_cast<int>(rng.next_in(1, 8));
+  const int t = static_cast<int>(rng.next_in(1, 8));
   const float za = rng.next_float(0.0f, 0.9f);
   const float zb = rng.next_float(0.0f, 0.9f);
 
@@ -69,6 +79,94 @@ TEST_P(PipelineFuzz, AnyBitPipelineMatchesReference) {
           << "at (" << i << "," << j << ")";
     }
   }
+
+  // The code dot against the tile sweep, bit for bit, on every backend: int,
+  // unfused-into and fused to-bit outputs in both plane layouts, with and
+  // without the BN fold. Code-dot calls execute no tile MMAs and jump
+  // exactly the tiles the sweep jumps.
+  FusedEpilogue bn = epi;
+  bn.act = tcsim::Activation::kRelu;
+  bn.use_bn = true;
+  for (i64 j = 0; j < n; ++j) {
+    bn.bn_scale.push_back(rng.next_float(0.5f, 1.5f));
+    bn.bn_bias.push_back(rng.next_float(-20.0f, 20.0f));
+  }
+  for (const tcsim::BackendKind kind : tcsim::all_backends()) {
+    const std::string be = tcsim::backend_name(kind);
+    const auto parity = [&](const std::string& what, const auto& run) {
+      const tcsim::ExecutionContext tile_ctx(kind), dot_ctx(kind);
+      BmmOptions tile_opt;
+      tile_opt.zero_tile_jump = true;
+      tile_opt.ctx = &tile_ctx;
+      BmmOptions dot_opt = tile_opt;
+      dot_opt.ctx = &dot_ctx;
+      EXPECT_TRUE(run(ReuseMode::kCodeDot, dot_opt) ==
+                  run(ReuseMode::kCrossTile, tile_opt))
+          << what << " on " << be;
+      const tcsim::Counters tc = tile_ctx.counters();
+      const tcsim::Counters dc = dot_ctx.counters();
+      EXPECT_EQ(dc.bmma_ops, 0u) << what << " on " << be;
+      EXPECT_EQ(dc.tiles_jumped, tc.tiles_jumped) << what << " on " << be;
+      EXPECT_EQ(dc.int32_bytes_avoided, tc.int32_bytes_avoided) << what;
+      EXPECT_EQ(dc.code_macs == 0, tc.bmma_ops == 0) << what << " on " << be;
+      EXPECT_EQ(tc.code_macs, 0u) << what << " on " << be;
+    };
+    parity("int", [&](ReuseMode kernel, const BmmOptions& o) {
+      const MatrixI32 got_int = bitmm_fused_int(pa, pb, {}, o, kernel);
+      EXPECT_EQ(got_int, expect) << be;
+      return got_int;
+    });
+    for (const FusedEpilogue* e : {&epi, &bn}) {
+      const std::string tag = e->use_bn ? " bn" : "";
+      parity("unfused" + tag, [&](ReuseMode kernel, const BmmOptions& o) {
+        MatrixI32 into(m, n, -1);
+        bitmm_fused_int_into(pa, pb, into, *e, o, kernel);
+        return into;
+      });
+      for (const BitLayout layout :
+           {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
+        parity((layout == BitLayout::kRowMajorK ? "row-major" : "col-major") + tag,
+               [&](ReuseMode kernel, const BmmOptions& o) {
+                 return plane_words(bitmm_fused_bit(pa, pb, out_bits, *e, o,
+                                                    PadPolicy::kOperand128,
+                                                    layout, kernel));
+               });
+      }
+    }
+  }
+}
+
+// The 9-16-bit path: accumulators wrap (allow_overflow), so only the tile
+// sweep may run it. Both sweeps must equal a uint32-wrapping reference.
+TEST_P(PipelineFuzz, WrappingSweepMatchesUint32Reference) {
+  Rng rng(static_cast<u64>(GetParam()) * 8191 + 5);
+  const i64 m = rng.next_in(1, 40);
+  const i64 k = rng.next_in(1, 300);
+  const i64 n = rng.next_in(1, 30);
+  const int s = static_cast<int>(rng.next_in(9, 16));
+  const int t = static_cast<int>(rng.next_in(9, 16));
+  const MatrixI32 a = random_codes(rng, m, k, s, 0.3f);
+  const MatrixI32 b = random_codes(rng, k, n, t, 0.3f);
+  MatrixI32 expect(m, n);
+  for (i64 i = 0; i < m; ++i) {
+    for (i64 j = 0; j < n; ++j) {
+      u32 acc = 0;
+      for (i64 kk = 0; kk < k; ++kk) {
+        acc += static_cast<u32>(a(i, kk)) * static_cast<u32>(b(kk, j));
+      }
+      expect(i, j) = static_cast<i32>(acc);
+    }
+  }
+  const auto pa = StackedBitTensor::decompose(a, s, BitLayout::kRowMajorK);
+  const auto pb = StackedBitTensor::decompose(b, t, BitLayout::kColMajorK);
+  BmmOptions opt;
+  opt.allow_overflow = true;
+  opt.zero_tile_jump = rng.next_bool(0.5f);
+  EXPECT_FALSE(code_dot_applies(s, t, opt));
+  EXPECT_EQ(bitmm_to_int(pa, pb, opt), expect);
+  EXPECT_EQ(bitmm_fused_int(pa, pb, {}, opt), expect);
+  EXPECT_THROW((void)bitmm_fused_int(pa, pb, {}, opt, ReuseMode::kCodeDot),
+               std::invalid_argument);
 }
 
 TEST_P(PipelineFuzz, AggregationModesAndJumpAgree) {
@@ -116,16 +214,6 @@ MatrixI32 random_adjacency(Rng& rng, i64 m, i64 k) {
     }
   }
   return a;
-}
-
-/// Every plane word of a packed tensor, padding included.
-std::vector<u32> plane_words(const StackedBitTensor& t) {
-  std::vector<u32> w;
-  for (int b = 0; b < t.bits(); ++b) {
-    const BitMatrix& p = t.plane(b);
-    w.insert(w.end(), p.data(), p.data() + p.bytes() / 4);
-  }
-  return w;
 }
 
 // The row gather against the cross-tile sweep, bit for bit, on every
@@ -252,6 +340,51 @@ TEST(RowGather, RejectsIneligibleStages) {
   xor_op.op = tcsim::BmmaOp::kXor;
   EXPECT_FALSE(row_gather_applies(4, xor_op));
   EXPECT_TRUE(row_gather_applies(8, ok));
+}
+
+TEST(CodeDot, RejectsIneligibleStages) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the code dot runs on little-endian hosts only";
+  }
+  Rng rng(11);
+  const auto a8 = StackedBitTensor::decompose(random_codes(rng, 20, 90, 8, 0.f),
+                                              8, BitLayout::kRowMajorK);
+  const auto a9 = StackedBitTensor::decompose(random_codes(rng, 20, 90, 9, 0.f),
+                                              9, BitLayout::kRowMajorK);
+  const auto w8 = StackedBitTensor::decompose(random_codes(rng, 90, 12, 8, 0.f),
+                                              8, BitLayout::kColMajorK);
+  const auto w9 = StackedBitTensor::decompose(random_codes(rng, 90, 12, 9, 0.f),
+                                              9, BitLayout::kColMajorK);
+  constexpr ReuseMode kDot = ReuseMode::kCodeDot;
+  BmmOptions ok;
+  ok.zero_tile_jump = true;
+  EXPECT_NO_THROW((void)bitmm_fused_int(a8, w8, {}, ok, kDot));
+  EXPECT_THROW((void)bitmm_fused_int(a9, w8, {}, ok, kDot), std::invalid_argument);
+  EXPECT_THROW((void)bitmm_fused_bit(a8, w9, 4, {}, ok, PadPolicy::kTile8,
+                                     BitLayout::kColMajorK, kDot),
+               std::invalid_argument);
+  BmmOptions no_jump = ok;
+  no_jump.zero_tile_jump = false;
+  EXPECT_THROW((void)bitmm_fused_int(a8, w8, {}, no_jump, kDot),
+               std::invalid_argument);
+  BmmOptions wrap = ok;
+  wrap.allow_overflow = true;
+  MatrixI32 out(20, 12);
+  EXPECT_THROW(bitmm_fused_int_into(a8, w8, out, {}, wrap, kDot),
+               std::invalid_argument);
+  BmmOptions xor_op = ok;
+  xor_op.op = tcsim::BmmaOp::kXor;
+  EXPECT_FALSE(code_dot_applies(8, 8, xor_op));
+  EXPECT_THROW((void)bitmm_fused_int(a8, w8, {}, xor_op, kDot),
+               std::invalid_argument);
+  EXPECT_TRUE(code_dot_applies(8, 8, ok));
+  EXPECT_FALSE(code_dot_applies(8, 9, ok));
+  // Updates run only the sweep or the code dot; aggregations never the dot.
+  EXPECT_THROW((void)bitmm_fused_int(a8, w8, {}, ok, ReuseMode::kRowGather),
+               std::invalid_argument);
+  const BitMatrix adj = pack_nonzero(random_codes(rng, 20, 90, 1, 0.5f),
+                                     BitLayout::kRowMajorK);
+  EXPECT_THROW((void)aggregate_1bit(adj, w8, kDot, ok), std::invalid_argument);
 }
 
 TEST_P(PipelineFuzz, BinaryXnorMatchesReference) {

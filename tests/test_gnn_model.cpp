@@ -163,23 +163,36 @@ TEST(Model, RowGatherPlannedOnlyWhereExact) {
   EXPECT_EQ(QgtcModel::create(cfg, 3).upd_plan(0).kernel, ReuseMode::kCrossTile);
 }
 
+// Jumping on vs off. At 8 bits the jumping model's updates run the code dot
+// and the other's the tile sweep (the code dot needs jumping), so this is
+// also the code dot against the sweep over a whole forward pass.
 TEST(Model, ZeroTileJumpIdentical) {
   Fixture f;
-  GnnConfig on_cfg = f.config(ModelKind::kBatchedGIN, 4);
-  on_cfg.zero_tile_jump = true;
-  GnnConfig off_cfg = on_cfg;
-  off_cfg.zero_tile_jump = false;
-  QgtcModel on = QgtcModel::create(on_cfg, 19);
-  QgtcModel off = QgtcModel::create(off_cfg, 19);
-  on.calibrate(f.adj, f.feats);
-  off.calibrate(f.adj, f.feats);
+  for (const int bits : {4, 8}) {
+    GnnConfig on_cfg = f.config(ModelKind::kBatchedGIN, bits);
+    on_cfg.zero_tile_jump = true;
+    GnnConfig off_cfg = on_cfg;
+    off_cfg.zero_tile_jump = false;
+    QgtcModel on = QgtcModel::create(on_cfg, 19);
+    QgtcModel off = QgtcModel::create(off_cfg, 19);
+    on.calibrate(f.adj, f.feats);
+    off.calibrate(f.adj, f.feats);
+    const ReuseMode dot = bits == 8 ? ReuseMode::kCodeDot : ReuseMode::kCrossTile;
+    for (int l = 0; l < on_cfg.num_layers; ++l) {
+      EXPECT_EQ(on.upd_plan(l).kernel, dot) << bits << " bits, layer " << l;
+      EXPECT_EQ(off.upd_plan(l).kernel, ReuseMode::kCrossTile);
+    }
 
-  ForwardStats s_on, s_off;
-  EXPECT_EQ(on.forward_quantized(f.adj, f.feats, &s_on),
-            off.forward_quantized(f.adj, f.feats, &s_off));
-  EXPECT_GT(s_on.tiles_jumped, 0);
-  EXPECT_EQ(s_off.tiles_jumped, 0);
-  EXPECT_LT(s_on.bmma_ops, s_off.bmma_ops);
+    ForwardStats s_on, s_off;
+    EXPECT_EQ(on.forward_quantized(f.adj, f.feats, &s_on),
+              off.forward_quantized(f.adj, f.feats, &s_off))
+        << bits << " bits";
+    EXPECT_GT(s_on.tiles_jumped, 0);
+    EXPECT_EQ(s_off.tiles_jumped, 0);
+    EXPECT_LT(s_on.bmma_ops, s_off.bmma_ops);
+    EXPECT_EQ(s_on.code_macs > 0, bits == 8);
+    EXPECT_EQ(s_off.code_macs, 0);
+  }
 }
 
 TEST(Model, Deterministic) {
