@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "baselines/dgl_fp32.hpp"
 
@@ -80,12 +81,53 @@ QgtcModel QgtcModel::from_weights(const GnnConfig& cfg,
   return m;
 }
 
+const EpiloguePlan& QgtcModel::plan_of(const Stage& s) const {
+  const auto& plans = s.kind == Stage::kAgg   ? agg_plan_
+                      : s.kind == Stage::kUpd ? upd_plan_
+                                              : upd2_plan_;
+  return plans[static_cast<std::size_t>(s.layer)];
+}
+
+EpiloguePlan& QgtcModel::plan_of(const Stage& s) {
+  return const_cast<EpiloguePlan&>(std::as_const(*this).plan_of(s));
+}
+
+const StackedBitTensor& QgtcModel::weight_of(const Stage& s) const {
+  QGTC_CHECK(s.kind != Stage::kAgg, "aggregation stages have no weights");
+  return (s.kind == Stage::kUpd ? w_planes_
+                                : w2_planes_)[static_cast<std::size_t>(s.layer)];
+}
+
+void QgtcModel::assign_output_forms() {
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    EpiloguePlan& p = plan_of(stages_[i]);
+    if (i + 1 == stages_.size()) {
+      p.out_form = StageOutput::kInt;
+    } else if (p.fused && is_code_kernel(plan_of(stages_[i + 1]).kernel)) {
+      p.out_form = StageOutput::kCodes;
+    } else {
+      p.out_form = StageOutput::kPlanes;
+    }
+  }
+}
+
 void QgtcModel::build_plan() {
   const int n = cfg_.num_layers;
   agg_plan_.assign(static_cast<std::size_t>(n), {});
   upd_plan_.assign(static_cast<std::size_t>(n), {});
   upd2_plan_.assign(static_cast<std::size_t>(n), {});
   const bool gcn = cfg_.kind == ModelKind::kClusterGCN;
+  stages_.clear();
+  for (int l = 0; l < n; ++l) {
+    if (gcn) {
+      stages_.push_back({Stage::kAgg, l});
+      stages_.push_back({Stage::kUpd, l});
+    } else {
+      stages_.push_back({Stage::kUpd, l});
+      if (cfg_.gin_mlp) stages_.push_back({Stage::kUpd2, l});
+      stages_.push_back({Stage::kAgg, l});
+    }
+  }
   // Every aggregation consumes codes of at most feat_bits bits (calibration
   // only ever narrows a stage's planes), so one test covers all of them.
   const BmmOptions opt = stage_options(cfg_);
@@ -123,16 +165,12 @@ void QgtcModel::build_plan() {
       up.act = last ? tcsim::Activation::kIdentity : cfg_.activation;
     }
   }
+  assign_output_forms();
 }
 
 int QgtcModel::fused_stage_count() const {
-  if (!cfg_.fused_epilogue) return 0;
-  const int n = cfg_.num_layers;
-  // GCN: every layer's aggregation requantizes (the last feeds the logits
-  // MM); updates requantize on hidden layers only. GIN mirrors that with the
-  // roles swapped, and the MLP variant doubles the update stages.
-  if (cfg_.kind == ModelKind::kClusterGCN) return n + (n - 1);
-  return n * (cfg_.gin_mlp ? 2 : 1) + (n - 1);
+  // Every stage but the logits stage requantizes.
+  return cfg_.fused_epilogue ? static_cast<int>(stages_.size()) - 1 : 0;
 }
 
 void QgtcModel::quantize_weights() {
@@ -176,13 +214,6 @@ void QgtcModel::calibrate_impl(const Adj& adj, const MatrixF& x) {
   MatrixI32 xq = quantize_matrix(x, xqp);
   int cur_bits = s;
 
-  // Picks an update stage's kernel from its final operand bits and runs it.
-  const auto update = [&](const StackedBitTensor& act,
-                          const StackedBitTensor& w, EpiloguePlan& plan) {
-    plan.kernel = update_kernel(act.bits(), w.bits(), opt);
-    return bitmm_fused_int(act, w, {}, opt, plan.kernel);
-  };
-
   // Completes one stage plan from the raw accumulators: derive the right
   // shift from the observed maximum, requantize `m` in place through the
   // shared epilogue, then (per_layer_bits) narrow the stage's plane count to
@@ -198,48 +229,31 @@ void QgtcModel::calibrate_impl(const Adj& adj, const MatrixF& x) {
     }
   };
 
-  const bool gcn = cfg_.kind == ModelKind::kClusterGCN;
-  // GCN consumes X on the aggregation B side first; GIN on the update A side.
-  for (int l = 0; l < cfg_.num_layers; ++l) {
-    const std::size_t li = static_cast<std::size_t>(l);
-    const bool last = (l + 1 == cfg_.num_layers);
-    if (gcn) {
-      auto xp = StackedBitTensor::decompose(xq, cur_bits, BitLayout::kColMajorK,
-                                            PadPolicy::kTile8);
-      MatrixI32 agg = aggregate_1bit(adj, xp, agg_plan_[li].kernel, opt);
-      requant_stage(agg, agg_plan_[li]);
-      auto xn = StackedBitTensor::decompose(agg, agg_plan_[li].out_bits,
-                                            BitLayout::kRowMajorK,
-                                            PadPolicy::kTile8);
-      MatrixI32 upd = update(xn, w_planes_[li], upd_plan_[li]);
-      if (last) break;
-      requant_stage(upd, upd_plan_[li]);
-      cur_bits = upd_plan_[li].out_bits;
-      xq = std::move(upd);
+  // Each stage runs unfused over planes decomposed from the previous stage's
+  // requantized output, in its operand layout: an aggregation consumes X on
+  // the B side (kColMajorK), an update on the A side (kRowMajorK). Update
+  // kernels are re-picked from the operand bits calibration has narrowed.
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    const Stage& st = stages_[i];
+    EpiloguePlan& plan = plan_of(st);
+    MatrixI32 acc;
+    if (st.kind == Stage::kAgg) {
+      const auto xp = StackedBitTensor::decompose(
+          xq, cur_bits, BitLayout::kColMajorK, PadPolicy::kTile8);
+      acc = aggregate_1bit(adj, xp, plan.kernel, opt);
     } else {
-      auto xp = StackedBitTensor::decompose(xq, cur_bits, BitLayout::kRowMajorK,
-                                            PadPolicy::kTile8);
-      MatrixI32 upd = update(xp, w_planes_[li], upd_plan_[li]);
-      requant_stage(upd, upd_plan_[li]);
-      int ub = upd_plan_[li].out_bits;
-      if (cfg_.gin_mlp) {
-        // Second MLP stage: requantized stage-1 output feeds another GEMM.
-        auto xm = StackedBitTensor::decompose(upd, ub, BitLayout::kRowMajorK,
-                                              PadPolicy::kTile8);
-        MatrixI32 upd2 = update(xm, w2_planes_[li], upd2_plan_[li]);
-        requant_stage(upd2, upd2_plan_[li]);
-        ub = upd2_plan_[li].out_bits;
-        upd = std::move(upd2);
-      }
-      auto xu = StackedBitTensor::decompose(upd, ub, BitLayout::kColMajorK,
-                                            PadPolicy::kTile8);
-      MatrixI32 agg = aggregate_1bit(adj, xu, agg_plan_[li].kernel, opt);
-      if (last) break;
-      requant_stage(agg, agg_plan_[li]);
-      cur_bits = agg_plan_[li].out_bits;
-      xq = std::move(agg);
+      const auto xp = StackedBitTensor::decompose(
+          xq, cur_bits, BitLayout::kRowMajorK, PadPolicy::kTile8);
+      const StackedBitTensor& w = weight_of(st);
+      plan.kernel = update_kernel(cur_bits, w.bits(), opt);
+      acc = bitmm_fused_int(xp, w, {}, opt, plan.kernel);
     }
+    if (i + 1 == stages_.size()) break;  // the logits stage
+    requant_stage(acc, plan);
+    cur_bits = plan.out_bits;
+    xq = std::move(acc);
   }
+  assign_output_forms();
   calibrated_ = true;
 }
 
@@ -285,114 +299,70 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
   tcsim::Counters before;
   if (stats != nullptr) before = exec.counters();
 
-  const bool gcn = cfg_.kind == ModelKind::kClusterGCN;
   const i64 nodes = adj.rows();
   tcsim::Workspace& ws = exec.workspace();
-  // Workspace scratch slots for the unfused fallback's int32 intermediates
-  // (reused across layers and batches — nothing is heap-allocated per stage).
-  constexpr int kAggScratch = 0, kUpdScratch = 1, kUpd2Scratch = 2;
 
-  // `cur` tracks the packed activation between layers without copying the
-  // caller's input planes. Each requantizing stage either runs its epilogue
-  // fused (tile-local requantize + re-pack inside the flush, §4.5) or stages
-  // through an arena int32 matrix and the same epilogue applied standalone —
-  // the plan guarantees the two produce identical planes and tile schedules.
-  const StackedBitTensor* cur = &x_planes;
-  StackedBitTensor next;
+  // `cur` is the activation between stages, in the form the producing
+  // stage's plan chose: planes, or a code matrix for a code-kernel consumer.
+  // A fused stage requantizes inside its kernel's drain (§4.5); an unfused
+  // one stages through an arena int32 matrix (slot per stage kind, reused
+  // across layers and batches) and the same epilogue applied standalone —
+  // the plan guarantees identical planes and tile schedules. Outputs
+  // ping-pong between two holders of each form (and two workspace code
+  // slots), so no stage overwrites its own input.
+  StageInput cur = x_planes;
+  StackedBitTensor planes[2];
+  CodeMatrix codes[2];
   MatrixI32 logits;
-
-  if (gcn) {
-    for (int l = 0; l < cfg_.num_layers; ++l) {
-      const std::size_t li = static_cast<std::size_t>(l);
-      const bool last = (l + 1 == cfg_.num_layers);
-      const EpiloguePlan& ap = agg_plan_[li];
-      StackedBitTensor xn;
-      if (ap.fused) {
-        xn = aggregate_fused_bit(adj, *cur, ap.out_bits, epi_of(ap), agg_opt,
-                                 PadPolicy::kTile8, ap.kernel);
-      } else {
-        MatrixI32& agg = ws.int32_scratch(kAggScratch, nodes, cur->cols());
-        aggregate_1bit_into(adj, *cur, ap.kernel, agg, agg_opt);
-        requant_inplace(agg, ap);
-        xn = StackedBitTensor::decompose(agg, ap.out_bits,
-                                         BitLayout::kRowMajorK,
-                                         PadPolicy::kTile8);
-      }
-      const EpiloguePlan& up = upd_plan_[li];
-      if (last) {
-        logits = bitmm_fused_int(xn, w_planes_[li], {}, opt, up.kernel);
-        break;
-      }
-      if (up.fused) {
-        next = bitmm_fused_bit(xn, w_planes_[li], up.out_bits, epi_of(up), opt,
-                               PadPolicy::kTile8, BitLayout::kColMajorK,
-                               up.kernel);
-      } else {
-        MatrixI32& upd =
-            ws.int32_scratch(kUpdScratch, nodes, w_planes_[li].cols());
-        bitmm_fused_int_into(xn, w_planes_[li], upd, {}, opt, up.kernel);
-        requant_inplace(upd, up);
-        next = StackedBitTensor::decompose(upd, up.out_bits,
-                                           BitLayout::kColMajorK,
-                                           PadPolicy::kTile8);
-      }
-      cur = &next;
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    const Stage& st = stages_[i];
+    const EpiloguePlan& p = plan_of(st);
+    const bool agg = st.kind == Stage::kAgg;
+    const StackedBitTensor* w = agg ? nullptr : &weight_of(st);
+    const BmmOptions& o = agg ? agg_opt : opt;
+    const std::size_t slot = i % 2;
+    if (p.out_form == StageOutput::kInt) {
+      logits = agg ? aggregate_1bit(adj, cur, p.kernel, o)
+                   : bitmm_fused_int(cur, *w, {}, o, p.kernel);
+      break;
     }
-  } else {
-    for (int l = 0; l < cfg_.num_layers; ++l) {
-      const std::size_t li = static_cast<std::size_t>(l);
-      const bool last = (l + 1 == cfg_.num_layers);
-      const EpiloguePlan& up = upd_plan_[li];
-      // The first MLP stage hands kRowMajorK planes to the second stage's MM;
-      // a single-stage update feeds the aggregation's B side directly.
-      const BitLayout l1 = cfg_.gin_mlp ? BitLayout::kRowMajorK
-                                        : BitLayout::kColMajorK;
-      StackedBitTensor xu;
-      if (up.fused) {
-        xu = bitmm_fused_bit(*cur, w_planes_[li], up.out_bits, epi_of(up), opt,
-                             PadPolicy::kTile8, l1, up.kernel);
+    const i64 cols = agg ? cur.cols() : w->cols();
+    if (p.out_form == StageOutput::kCodes) {
+      codes[slot] = CodeMatrix::over(
+          ws.code_activation(static_cast<int>(slot),
+                             CodeMatrix::bytes_for(nodes, cols)),
+          nodes, cols, p.out_bits);
+      if (agg) {
+        aggregate_fused_codes(adj, cur, codes[slot], epi_of(p), o, p.kernel);
       } else {
-        MatrixI32& upd =
-            ws.int32_scratch(kUpdScratch, nodes, w_planes_[li].cols());
-        bitmm_fused_int_into(*cur, w_planes_[li], upd, {}, opt, up.kernel);
-        requant_inplace(upd, up);
-        xu = StackedBitTensor::decompose(upd, up.out_bits, l1,
-                                         PadPolicy::kTile8);
+        bitmm_fused_codes(cur, *w, codes[slot], epi_of(p), o, p.kernel);
       }
-      if (cfg_.gin_mlp) {
-        const EpiloguePlan& up2 = upd2_plan_[li];
-        if (up2.fused) {
-          xu = bitmm_fused_bit(xu, w2_planes_[li], up2.out_bits, epi_of(up2),
-                               opt, PadPolicy::kTile8, BitLayout::kColMajorK,
-                               up2.kernel);
-        } else {
-          MatrixI32& upd2 =
-              ws.int32_scratch(kUpd2Scratch, nodes, w2_planes_[li].cols());
-          bitmm_fused_int_into(xu, w2_planes_[li], upd2, {}, opt, up2.kernel);
-          requant_inplace(upd2, up2);
-          xu = StackedBitTensor::decompose(upd2, up2.out_bits,
-                                           BitLayout::kColMajorK,
-                                           PadPolicy::kTile8);
-        }
-      }
-      const EpiloguePlan& ap = agg_plan_[li];
-      if (last) {
-        logits = aggregate_1bit(adj, xu, ap.kernel, agg_opt);
-        break;
-      }
-      if (ap.fused) {
-        next = aggregate_fused_bit(adj, xu, ap.out_bits, epi_of(ap), agg_opt,
-                                   PadPolicy::kTile8, ap.kernel);
-      } else {
-        MatrixI32& agg = ws.int32_scratch(kAggScratch, nodes, xu.cols());
-        aggregate_1bit_into(adj, xu, ap.kernel, agg, agg_opt);
-        requant_inplace(agg, ap);
-        next = StackedBitTensor::decompose(agg, ap.out_bits,
-                                           BitLayout::kRowMajorK,
-                                           PadPolicy::kTile8);
-      }
-      cur = &next;
+      cur = codes[slot];
+      continue;
     }
+    // Planes in the layout of the consumer's operand: an aggregation reads
+    // X on the B side (kColMajorK), an update reads A (kRowMajorK).
+    const BitLayout layout = stages_[i + 1].kind == Stage::kAgg
+                                 ? BitLayout::kColMajorK
+                                 : BitLayout::kRowMajorK;
+    if (p.fused) {
+      planes[slot] =
+          agg ? aggregate_fused_bit(adj, cur, p.out_bits, epi_of(p), o,
+                                    PadPolicy::kTile8, p.kernel)
+              : bitmm_fused_bit(cur, *w, p.out_bits, epi_of(p), o,
+                                PadPolicy::kTile8, layout, p.kernel);
+    } else {
+      MatrixI32& m = ws.int32_scratch(static_cast<int>(st.kind), nodes, cols);
+      if (agg) {
+        aggregate_1bit_into(adj, cur, p.kernel, m, o);
+      } else {
+        bitmm_fused_int_into(cur, *w, m, {}, o, p.kernel);
+      }
+      requant_inplace(m, p);
+      planes[slot] =
+          StackedBitTensor::decompose(m, p.out_bits, layout, PadPolicy::kTile8);
+    }
+    cur = planes[slot];
   }
 
   if (stats != nullptr) {

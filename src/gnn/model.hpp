@@ -8,6 +8,9 @@
 //   Batched GIN layer: X (kRowMajorK) --update+ReLU--> Xu (kColMajorK)
 //                      --agg--> X' (kRowMajorK, next layer's X)
 // The final layer emits int32 logits (full precision for softmax, §4.5).
+// Where the consuming stage runs a code kernel (row gather or code dot), a
+// fused stage hands over a u8 code matrix instead of planes (DESIGN.md,
+// "Code handoff"); the input to the first layer is always planes.
 #pragma once
 
 #include "bittensor/stacked.hpp"
@@ -26,10 +29,19 @@ struct ForwardStats {
   i64 code_macs = 0;
 };
 
+/// The form a stage hands its output to the next stage in.
+enum class StageOutput {
+  kPlanes,  // packed bit planes in the layout of the consumer's operand
+  kCodes,   // a u8 CodeMatrix, for a consumer that runs a code kernel
+  kInt,     // int32: the logits stage
+};
+
 /// Per-stage kernel and epilogue plan (one per aggregate/update stage per
-/// layer). Built at construction from the config; rshift and out_bits are
-/// filled in by calibration. The same plan drives the fused epilogue and the
-/// unfused fallback, so the two paths are bit-identical by construction.
+/// layer). build_plan fills it from the config at construction. Calibration
+/// then sets rshift and out_bits from the observed ranges, re-picks the
+/// update kernels from the narrowed operand bits and re-derives out_form.
+/// The same plan drives the fused epilogue and the unfused fallback, so the
+/// two paths are bit-identical by construction.
 struct EpiloguePlan {
   int rshift = 0;
   int out_bits = 8;
@@ -42,6 +54,9 @@ struct EpiloguePlan {
   /// bits and they make at least kCodeDotMinPlanePairs plane pairs;
   /// otherwise the tile sweep (kCrossTile).
   ReuseMode kernel = ReuseMode::kCrossTile;
+  /// kInt for the logits stage; kCodes when the stage is fused and the next
+  /// stage's kernel is a code kernel (is_code_kernel); kPlanes otherwise.
+  StageOutput out_form = StageOutput::kPlanes;
 };
 
 class QgtcModel {
@@ -132,11 +147,29 @@ class QgtcModel {
   std::vector<EpiloguePlan> upd2_plan_;      // per layer, MLP stage 2
   bool calibrated_ = false;
 
+  /// One stage of the forward pass; stages_ lists them in execution order
+  /// (GCN: agg, upd per layer; GIN: upd, [upd2], agg per layer).
+  struct Stage {
+    enum Kind { kAgg, kUpd, kUpd2 } kind;
+    int layer;
+  };
+  std::vector<Stage> stages_;
+
+  [[nodiscard]] const EpiloguePlan& plan_of(const Stage& s) const;
+  [[nodiscard]] EpiloguePlan& plan_of(const Stage& s);
+  /// The weight planes of an update stage.
+  [[nodiscard]] const StackedBitTensor& weight_of(const Stage& s) const;
+
   void quantize_weights();
 
-  /// Fills the per-stage activation/fusion decisions from the config (the
-  /// rewrite pass; rshift/out_bits are completed by calibrate()).
+  /// Fills the stage list and the per-stage activation/fusion decisions from
+  /// the config (the rewrite pass; rshift/out_bits are completed by
+  /// calibrate()).
   void build_plan();
+
+  /// Sets every stage's out_form from its own plan and the next stage's
+  /// kernel.
+  void assign_output_forms();
 
   /// Shared forward/calibration bodies, generic over the adjacency
   /// representation (dense BitMatrix or TileSparseBitMatrix — the aggregate

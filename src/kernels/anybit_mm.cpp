@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "parallel/parallel_for.hpp"
 
@@ -338,22 +339,27 @@ inline void transpose8x8_bytes(u64 (&r)[8]) {
   swap_blocks(4, 32, 0x00000000FFFFFFFFull);
 }
 
-/// Unpacks kColMajorK bit planes (<= 8) into node-major u8 code rows:
-/// codes[v * width + j] = sum_b 2^b * x_b[v][j] for every padded K row v and
-/// j < width (columns past the planes' 8-aligned extent read as zero). Works
-/// on 8 nodes x 8 columns at a time: one byte per plane per column spreads
-/// into eight code bytes, then an 8x8 byte transpose makes them node-major.
-void unpack_codes(const StackedBitTensor& x, u8* codes, i64 width) {
+static_assert(kCodeAlign == tcsim::kCodeDotAlign &&
+                  kCodeAlign % tcsim::kCodeRowAlign == 0 &&
+                  kCodeAlign == kRowBlocksPerWord * kTileM,
+              "a code matrix's padding must cover the code kernels' reads");
+
+/// Unpacks kColMajorK bit planes (<= 8) into the code matrix `out` of the
+/// planes' logical extent, so K lines become code rows: out(v, j) = sum_b
+/// 2^b * x_b[v][j]. Works on 8 rows x 8 columns at a time: one byte per
+/// plane per column spreads into eight code bytes, then an 8x8 byte
+/// transpose makes them row-major. Writes every byte of out's padded extent
+/// (the planes' padding is zero).
+void unpack_codes(const StackedBitTensor& x, const CodeMatrix& out) {
   const int bits = x.bits();
-  const i64 groups = x.plane(0).padded_rows() / 8;
   const i64 col_bytes = x.plane(0).k_words() * static_cast<i64>(sizeof(u32));
   const i64 cols8 = pad8(x.cols());
   const u8* planes[8];
   for (int b = 0; b < bits; ++b) {
     planes[b] = reinterpret_cast<const u8*>(x.plane(b).data());
   }
-  for (i64 g = 0; g < groups; ++g) {
-    u8* dst = codes + g * 8 * width;
+  for (i64 g = 0; g < out.padded_rows() / 8; ++g) {
+    u8* dst = out.row(g * 8);
     for (i64 c0 = 0; c0 < cols8; c0 += 8) {
       u64 r[8];
       for (int c = 0; c < 8; ++c) {
@@ -363,15 +369,26 @@ void unpack_codes(const StackedBitTensor& x, u8* codes, i64 width) {
         r[c] = v;
       }
       transpose8x8_bytes(r);
-      for (int i = 0; i < 8; ++i) std::memcpy(dst + i * width + c0, &r[i], 8);
+      for (int i = 0; i < 8; ++i) std::memcpy(dst + i * out.stride + c0, &r[i], 8);
     }
-    if (cols8 < width) {
-      for (int i = 0; i < 8; ++i) {
-        std::memset(dst + i * width + cols8, 0,
-                    static_cast<std::size_t>(width - cols8));
-      }
+    for (int i = 0; i < 8; ++i) {
+      std::memset(dst + i * out.stride + cols8, 0,
+                  static_cast<std::size_t>(out.stride - cols8));
     }
   }
+}
+
+/// An aggregation operand in code form: a code matrix read in place, or
+/// kColMajorK bit planes unpacked into the calling thread's code slot.
+CodeMatrix codes_of(StageInput x, const tcsim::ExecutionContext& ctx) {
+  if (x.codes() != nullptr) return *x.codes();
+  const StackedBitTensor& p = *x.planes();
+  QGTC_CHECK(p.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
+  const CodeMatrix codes = CodeMatrix::over(
+      ctx.workspace().code_scratch(CodeMatrix::bytes_for(p.rows(), p.cols())),
+      p.rows(), p.cols(), p.bits());
+  unpack_codes(p, codes);
+  return codes;
 }
 
 /// Entries set_bit_positions may write past the positions it reports.
@@ -397,29 +414,27 @@ inline i64 set_bit_positions(u64 bits, i32 base, i32* out) {
 
 /// Row-gather aggregation: the integer identity behind Algorithm 1,
 /// sum_b 2^b * popcount(A_row & X_b) = sum over set bits v of A_row of
-/// code(X[v]), executed literally. X's planes are unpacked once to u8 code
-/// rows (calling thread, workspace code slot); then one parallel region over
-/// row blocks walks the set bits of each surviving A tile (the same tile
-/// source and survivors() call as fused_tile_sweep, so tiles_jumped
-/// matches) and adds the neighbours' code rows into an int32 row through
-/// the backend's add_code_rows hook. `drain(row, acc)` receives each
-/// finished output row (acc holds round_up(n, kCodeRowAlign) lanes; only the
-/// first n are meaningful) and may overwrite it. No tile MMAs execute.
+/// code(X[v]), executed literally. X comes as codes (read in place) or as
+/// planes, unpacked once to codes on the calling thread (codes_of). One
+/// parallel region over row blocks then walks the set bits of each surviving
+/// A tile (the same tile source and survivors() call as fused_tile_sweep, so
+/// tiles_jumped matches) and adds the neighbours' code rows into an int32
+/// row through the backend's add_code_rows hook. `drain(row, acc)` receives
+/// each finished output row (acc holds round_up(n, kCodeRowAlign) lanes; only
+/// the first n are meaningful) and may overwrite it. No tile MMAs execute.
 template <typename Src, typename Drain>
-void row_gather(const Src& src, const StackedBitTensor& x, i64 m,
-                const BmmOptions& opt, Drain&& drain) {
+void row_gather(const Src& src, StageInput x, i64 m, const BmmOptions& opt,
+                Drain&& drain) {
   QGTC_CHECK(row_gather_applies(x.bits(), opt),
              "row gather needs zero-tile jumping, the AND combine, codes of "
              "at most 8 bits and the int32 bound (no allow_overflow)");
-  QGTC_CHECK(x.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
-  QGTC_CHECK(src.padded_k() == x.plane(0).padded_rows(),
+  QGTC_CHECK(src.padded_k() == pad128(x.rows()),
              "padded K extents of A and B differ");
 
   const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
   const tcsim::SubstrateBackend& be = ctx.backend();
-  const i64 width = round_up(x.cols(), tcsim::kCodeRowAlign);
-  u8* codes = ctx.workspace().code_scratch(src.padded_k() * width);
-  unpack_codes(x, codes, width);
+  const CodeMatrix codes = codes_of(x, ctx);
+  const i64 width = round_up(codes.cols, tcsim::kCodeRowAlign);
 
   const i64 tiles_m = src.tiles_m();
   std::vector<std::vector<i64>>& k_lists = ctx.workspace().k_lists(tiles_m);
@@ -446,7 +461,7 @@ void row_gather(const Src& src, const StackedBitTensor& x, i64 m,
         }
       }
       std::memset(acc, 0, static_cast<std::size_t>(width) * sizeof(i32));
-      be.add_code_rows(acc, codes, width, nbrs, count);
+      be.add_code_rows(acc, codes.data, codes.stride, width, nbrs, count);
       drain(tm * kTileM + i, acc);
       delta.gather_edges += static_cast<u64>(count);
     }
@@ -463,12 +478,7 @@ void requantize_row(i32* acc, i64 n, const tcsim::EpilogueSpec& spec) {
   for (i64 j = 0; j < n; ++j) acc[j] = tcsim::apply_epilogue(acc[j], s);
 }
 
-/// Row-gather drain (the row form of flush_planes): requantizes one finished
-/// row of `n` values in place (0 <= qmax <= 255, so out_bits <= 8) and
-/// writes bit b of value j to bit j % 8 of planes[b][j / 8]. Assigns whole
-/// bytes; each plane row must hold round_up(n, 8) bits.
-void flush_row_planes(i32* acc, i64 n, const tcsim::EpilogueSpec& spec,
-                      u8* const* planes, int out_bits) {
+void requantize_row(i32* acc, i64 n, const tcsim::EpilogueSpec& spec) {
   using tcsim::Activation;
   switch (spec.act) {
     case Activation::kIdentity:
@@ -484,50 +494,30 @@ void flush_row_planes(i32* acc, i64 n, const tcsim::EpilogueSpec& spec,
       requantize_row<Activation::kHardswish>(acc, n, spec);
       break;
   }
+}
+
+/// Packs one requantized row of `n` values (each below 2^out_bits <= 256)
+/// into kRowMajorK plane rows: bit b of value j goes to bit j % 8 of
+/// planes[b][j / 8]. Assigns whole bytes; each plane row must hold
+/// round_up(n, 8) bits.
+void pack_row_planes(const i32* vals, i64 n, u8* const* planes, int out_bits) {
   // 64 columns at a time: narrow the values to bytes (zero past n), then
   // per 8 columns an 8x8 bit transpose (three delta swaps) of the u64 whose
   // byte i is column i leaves plane b's bits in byte b. Byte order is
   // little-endian, as everywhere in the row gather.
   for (i64 c0 = 0; c0 < n; c0 += 64) {
     const i64 cn = std::min<i64>(n - c0, 64);
-    u8 vals[64] = {};
-    for (i64 j = 0; j < cn; ++j) vals[j] = static_cast<u8>(acc[c0 + j]);
+    u8 bytes[64] = {};
+    for (i64 j = 0; j < cn; ++j) bytes[j] = static_cast<u8>(vals[c0 + j]);
     for (i64 j0 = 0; j0 < cn; j0 += 8) {
       u64 x;
-      std::memcpy(&x, vals + j0, sizeof(x));
+      std::memcpy(&x, bytes + j0, sizeof(x));
       x = transpose8x8_bits(x);
       for (int b = 0; b < out_bits; ++b) {
         planes[b][(c0 + j0) / 8] = static_cast<u8>(x >> (8 * b));
       }
     }
   }
-}
-
-/// Fused to-bit row gather: each finished row is requantized through the
-/// shared epilogue and packed straight into its row of every kRowMajorK
-/// output plane, so no int32 activation matrix is materialised (§4.5).
-template <typename Src>
-StackedBitTensor gather_bit_output(const Src& src, const StackedBitTensor& x,
-                                   i64 m, int out_bits, const FusedEpilogue& epi,
-                                   const BmmOptions& opt, PadPolicy out_pad) {
-  QGTC_CHECK(out_bits <= 8, "the row gather's fused output packs at most 8 bits");
-  const i64 n = x.cols();
-  StackedBitTensor out =
-      StackedBitTensor::zeros(m, n, out_bits, BitLayout::kRowMajorK, out_pad);
-  const i32 qmax = static_cast<i32>((u32{1} << out_bits) - 1);
-  const tcsim::EpilogueSpec spec{epi.act, epi.rshift, qmax};
-  row_gather(src, x, m, opt, [&](i64 r, i32* acc) {
-    if (epi.use_bn) {
-      for (i64 j = 0; j < n; ++j) acc[j] = apply_bn(acc[j], j, epi);
-    }
-    u8* rows[8];
-    for (int b = 0; b < out_bits; ++b) {
-      rows[b] = reinterpret_cast<u8*>(out.plane(b).row_words(r));
-    }
-    flush_row_planes(acc, n, spec, rows, out_bits);
-  });
-  note_int32_avoided(resolve_ctx(opt), m, n);
-  return out;
 }
 
 /// Unpacks lines [line0, line0 + count) of bit planes (<= 8) into line-major
@@ -551,33 +541,100 @@ void unpack_line_codes(const StackedBitTensor& x, i64 line0, i64 count,
   }
 }
 
+/// The code dot's A operand as kRowMajorK bit planes: survivors from the
+/// planes' §4.3 flag test, and each work item's lines unpacked into the
+/// worker's row-code slot.
+class PlaneLinesA {
+ public:
+  explicit PlaneLinesA(const StackedBitTensor& a)
+      : a_(&a), src_(plane_ptrs(a)) {}
+
+  [[nodiscard]] i64 tiles_m() const { return src_.tiles_m(); }
+  [[nodiscard]] i64 stride() const { return src_.padded_k(); }
+  i64 survivors(i64 tm, const BmmOptions& opt, std::vector<i64>& list) const {
+    return src_.survivors(tm, opt, list);
+  }
+  /// Codes of row blocks [tm0, tm1), stride() bytes per row.
+  [[nodiscard]] const u8* lines(const tcsim::ExecutionContext& ctx, i64 tm0,
+                                i64 tm1) const {
+    u8* codes = ctx.workspace().row_codes((tm1 - tm0) * kTileM * stride());
+    unpack_line_codes(*a_, tm0 * kTileM, (tm1 - tm0) * kTileM, codes);
+    return codes;
+  }
+
+ private:
+  const StackedBitTensor* a_;
+  DensePlanesSource src_;
+};
+
+/// The code dot's A operand as a code matrix, read in place. An 8x128 block
+/// of all-zero codes is exactly a tile that is zero in every plane of the
+/// same operand, so survivors() keeps and jumps what the plane form's flag
+/// test does (row blocks as for kTile8 planes).
+class CodeRowsA {
+ public:
+  explicit CodeRowsA(const CodeMatrix& a) : a_(&a) {}
+
+  [[nodiscard]] i64 tiles_m() const { return ceil_div(a_->rows, kTileM); }
+  [[nodiscard]] i64 stride() const { return a_->stride; }
+  i64 survivors(i64 tm, const BmmOptions& opt, std::vector<i64>& list) const {
+    const i64 tiles_k = ceil_div(a_->cols, kTileK);
+    i64 jumped = 0;
+    for (i64 tk = 0; tk < tiles_k; ++tk) {
+      if (opt.zero_tile_jump && block_zero(tm, tk)) {
+        ++jumped;
+        continue;
+      }
+      list.push_back(tk);
+    }
+    return jumped;
+  }
+  [[nodiscard]] const u8* lines(const tcsim::ExecutionContext&, i64 tm0,
+                                i64) const {
+    return a_->row(tm0 * kTileM);
+  }
+
+ private:
+  const CodeMatrix* a_;
+
+  /// True when rows [8 tm, 8 tm + 8) hold no non-zero code in columns
+  /// [128 tk, 128 tk + 128) (the stride's zero padding included).
+  [[nodiscard]] bool block_zero(i64 tm, i64 tk) const {
+    const i64 k0 = tk * kTileK;
+    const i64 len = std::min<i64>(kTileK, a_->stride - k0);
+    u64 any = 0;
+    for (i64 i = 0; i < kTileM; ++i) {
+      const u8* p = a_->row(tm * kTileM + i) + k0;
+      for (i64 k = 0; k < len; k += 8) {
+        u64 v;
+        std::memcpy(&v, p + k, sizeof(v));
+        any |= v;
+      }
+    }
+    return any == 0;
+  }
+};
+
 /// Code-dot update: the integer identity behind Algorithm 1 for two
 /// multi-bit operands, sum_{a,b} 2^(a+b) * popcount(A_a & W_b) = sum_k
 /// code_A[k] * code_W[k], executed literally. W's planes are unpacked once
 /// to u8 code lines (calling thread, workspace code slot). Then one parallel
-/// region over groups of kRowBlocksPerWord row blocks unpacks the group's A
-/// lines (the worker's row-code slot), takes the same survivors() call as
-/// fused_tile_sweep (so tiles_jumped matches), and runs the backend's
+/// region over groups of kRowBlocksPerWord row blocks takes the group's A
+/// code rows from the A source `a` (PlaneLinesA or CodeRowsA), its survivors
+/// (the same tiles fused_tile_sweep keeps), and runs the backend's
 /// dot_code_tile over each run of consecutive surviving K tiles, clipped to
-/// the logical K (codes past it are zero padding). `drain(tm, tn, tile)`
-/// receives each finished 8x8 tile, row-major raw int32, and may overwrite
-/// it. No tile MMAs execute.
-template <typename Drain>
-void code_dot(const StackedBitTensor& a, const StackedBitTensor& w,
-              const BmmOptions& opt, Drain&& drain) {
-  QGTC_CHECK(code_dot_applies(a.bits(), w.bits(), opt),
-             "the code dot needs zero-tile jumping, the AND combine, operands "
-             "of at most 8 bits and the int32 bound (no allow_overflow)");
-  QGTC_CHECK(w.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
-  const DensePlanesSource src(plane_ptrs(a));
-  const i64 kp = src.padded_k();
-  QGTC_CHECK(kp == w.plane(0).padded_rows(), "padded K extents of A and B differ");
-
+/// the logical K `a_cols` (codes past it are zero padding). `drain(tm, tn,
+/// tile)` receives each finished 8x8 tile, row-major raw int32, and may
+/// overwrite it. No tile MMAs execute.
+template <typename ASrc, typename Drain>
+void code_dot_loop(const ASrc& a, i64 a_cols, const StackedBitTensor& w,
+                   const BmmOptions& opt, Drain&& drain) {
   const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
   const tcsim::SubstrateBackend& be = ctx.backend();
-  const i64 tiles_m = src.tiles_m();
+  const i64 kp = w.plane(0).padded_rows();
+  const i64 tiles_m = a.tiles_m();
   const i64 tiles_n = w.plane(0).padded_cols() / kTileN;
-  const i64 k_end = round_up(a.cols(), tcsim::kCodeDotAlign);
+  const i64 k_end = round_up(a_cols, tcsim::kCodeDotAlign);
   u8* w_codes = ctx.workspace().code_scratch(w.plane(0).lines() * kp);
   unpack_line_codes(w, 0, w.plane(0).lines(), w_codes);
 
@@ -586,14 +643,13 @@ void code_dot(const StackedBitTensor& a, const StackedBitTensor& w,
                        [&](i64 g) {
     const i64 tm0 = g * kRowBlocksPerWord;
     const i64 tm1 = std::min(tiles_m, tm0 + kRowBlocksPerWord);
-    u8* a_codes = ctx.workspace().row_codes((tm1 - tm0) * kTileM * kp);
-    unpack_line_codes(a, tm0 * kTileM, (tm1 - tm0) * kTileM, a_codes);
+    const u8* a_codes = a.lines(ctx, tm0, tm1);
+    const i64 a_stride = a.stride();
     tcsim::Counters delta;
     for (i64 tm = tm0; tm < tm1; ++tm) {
       auto& list = k_lists[static_cast<std::size_t>(tm)];
-      list.reserve(static_cast<std::size_t>(src.survivor_bound(tm)));
-      delta.tiles_jumped += static_cast<u64>(src.survivors(tm, opt, list));
-      const u8* a_blk = a_codes + (tm - tm0) * kTileM * kp;
+      delta.tiles_jumped += static_cast<u64>(a.survivors(tm, opt, list));
+      const u8* a_blk = a_codes + (tm - tm0) * kTileM * a_stride;
       for (i64 tn = 0; tn < tiles_n; ++tn) {
         const u8* w_blk = w_codes + tn * kTileN * kp;
         alignas(64) i32 tile[kTileM * kTileN] = {};
@@ -604,7 +660,7 @@ void code_dot(const StackedBitTensor& a, const StackedBitTensor& w,
           while (e < list.size() && list[e] == list[e - 1] + 1) ++e;
           const i64 k0 = list[r] * kTileK;
           const i64 len = std::min(list[e - 1] * kTileK + kTileK, k_end) - k0;
-          be.dot_code_tile(tile, a_blk + k0, kp, w_blk + k0, kp, len);
+          be.dot_code_tile(tile, a_blk + k0, a_stride, w_blk + k0, kp, len);
           codes += len;
           r = e;
         }
@@ -616,61 +672,144 @@ void code_dot(const StackedBitTensor& a, const StackedBitTensor& w,
   });
 }
 
-/// The fused to-bit epilogue's per-tile writer: requantizes one finished
-/// 8x8 output tile and scatters its bits into the output planes — one word
-/// RMW per (line, plane); an 8-bit lane always sits inside one u32 word
-/// because tile extents divide the 32-bit packing.
-class PlaneTileWriter {
- public:
-  PlaneTileWriter(StackedBitTensor& out, const FusedEpilogue& epi)
-      : out_(&out),
-        epi_(&epi),
-        spec_{epi.act, epi.rshift,
-              static_cast<i32>((u32{1} << out.bits()) - 1)} {}
+/// The code dot over either form of A: code rows read in place, or plane
+/// lines unpacked per work item.
+template <typename Drain>
+void code_dot(StageInput a, const StackedBitTensor& w, const BmmOptions& opt,
+              Drain&& drain) {
+  QGTC_CHECK(code_dot_applies(a.bits(), w.bits(), opt),
+             "the code dot needs zero-tile jumping, the AND combine, operands "
+             "of at most 8 bits and the int32 bound (no allow_overflow)");
+  QGTC_CHECK(w.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
+  QGTC_CHECK(pad128(a.cols()) == w.plane(0).padded_rows(),
+             "padded K extents of A and B differ");
+  if (a.codes() != nullptr) {
+    code_dot_loop(CodeRowsA(*a.codes()), a.cols(), w, opt, drain);
+  } else {
+    code_dot_loop(PlaneLinesA(*a.planes()), a.cols(), w, opt, drain);
+  }
+}
 
-  /// Drains a tile sweep's accumulator lanes through the backend's plane
-  /// flush; BN tiles stage through one i32 tile (raw drain, fp32 fold, then
-  /// the shared epilogue + scatter).
+/// The fused to-bit epilogue's writer, shared by every kernel's drain (tile
+/// sweep lanes, exact raw tiles, gathered rows): the BN fold, then the shared
+/// tcsim::apply_epilogue, then the requantized values go into the output bit
+/// planes or narrow into the output code matrix. Plane tiles cost one word
+/// RMW per (line, plane); an 8-bit lane always sits inside one u32 word
+/// because tile extents divide the 32-bit packing. Drains write only
+/// logical cells, so concurrent drains of different tiles or rows never
+/// share a code byte.
+class RequantWriter {
+ public:
+  RequantWriter(StackedBitTensor& out, const FusedEpilogue& epi)
+      : planes_(&out),
+        epi_(&epi),
+        rows_(out.rows()),
+        cols_(out.cols()),
+        spec_{epi.act, epi.rshift, qmax_of(out.bits())} {}
+
+  /// Code output: zeroes the padding here, on the calling thread.
+  RequantWriter(const CodeMatrix& out, const FusedEpilogue& epi)
+      : codes_(out),
+        epi_(&epi),
+        rows_(out.rows),
+        cols_(out.cols),
+        spec_{epi.act, epi.rshift, qmax_of(out.bits)} {
+    QGTC_CHECK(out.bits >= 1 && out.bits <= 8,
+               "a code matrix holds codes of 1 to 8 bits");
+    QGTC_CHECK(out.stride % kCodeAlign == 0 && out.stride >= out.cols,
+               "a code matrix's stride is a multiple of kCodeAlign");
+    for (i64 r = 0; r < out.rows; ++r) {
+      std::memset(out.row(r) + out.cols, 0,
+                  static_cast<std::size_t>(out.stride - out.cols));
+    }
+    std::memset(out.row(out.rows), 0,
+                static_cast<std::size_t>((out.padded_rows() - out.rows) *
+                                         out.stride));
+  }
+
+  [[nodiscard]] int bits() const {
+    return planes_ != nullptr ? planes_->bits() : codes_.bits;
+  }
+
+  /// Drains a tile sweep's accumulator lanes: plane outputs without BN
+  /// through the backend's plane flush, the others staged through one raw
+  /// i32 tile.
   void operator()(const tcsim::SubstrateBackend& be, i64 tm, i64 tn,
                   const u64* acc) const {
-    u32* planes[32];
-    const tcsim::PlaneSink sink = sink_for(tm, tn, planes);
-    if (!epi_->use_bn) {
-      be.flush_planes(sink, acc, spec_);
+    if (planes_ != nullptr && !epi_->use_bn) {
+      u32* planes[32];
+      be.flush_planes(plane_sink(tm, tn, planes), acc, spec_);
       return;
     }
     alignas(64) i32 q[kTileM * kTileN];
     be.flush_epilogue(q, kTileN, acc, tcsim::EpilogueSpec{});
-    requantize_scatter(sink, tm, tn, q);
+    (*this)(tm, tn, q);
   }
 
   /// Drains an exact raw int32 tile (row-major; overwritten).
   void operator()(i64 tm, i64 tn, i32* q) const {
-    u32* planes[32];
-    requantize_scatter(sink_for(tm, tn, planes), tm, tn, q);
+    const i64 rh = rows_here(tm), ch = cols_here(tn);
+    for (i64 i = 0; i < rh; ++i) {
+      for (i64 j = 0; j < ch; ++j) {
+        const i32 v = apply_bn(q[i * kTileN + j], tn * kTileN + j, *epi_);
+        q[i * kTileN + j] = tcsim::apply_epilogue(v, spec_);
+      }
+    }
+    if (planes_ != nullptr) {
+      u32* planes[32];
+      tcsim::scatter_planes(plane_sink(tm, tn, planes), q);
+      return;
+    }
+    for (i64 i = 0; i < rh; ++i) {
+      u8* dst = codes_.row(tm * kTileM + i) + tn * kTileN;
+      for (i64 j = 0; j < ch; ++j) dst[j] = static_cast<u8>(q[i * kTileN + j]);
+    }
+  }
+
+  /// Drains one gathered output row `r` (acc holds its cols values;
+  /// overwritten). Plane outputs must be kRowMajorK.
+  void row(i64 r, i32* acc) const {
+    if (epi_->use_bn) {
+      for (i64 j = 0; j < cols_; ++j) acc[j] = apply_bn(acc[j], j, *epi_);
+    }
+    requantize_row(acc, cols_, spec_);
+    if (planes_ == nullptr) {
+      u8* dst = codes_.row(r);
+      for (i64 j = 0; j < cols_; ++j) dst[j] = static_cast<u8>(acc[j]);
+      return;
+    }
+    u8* rows[8];
+    for (int b = 0; b < planes_->bits(); ++b) {
+      rows[b] = reinterpret_cast<u8*>(planes_->plane(b).row_words(r));
+    }
+    pack_row_planes(acc, cols_, rows, planes_->bits());
   }
 
  private:
-  StackedBitTensor* out_;
+  StackedBitTensor* planes_ = nullptr;
+  CodeMatrix codes_;
   const FusedEpilogue* epi_;
+  i64 rows_, cols_;
   tcsim::EpilogueSpec spec_;
 
+  static i32 qmax_of(int bits) { return static_cast<i32>((u32{1} << bits) - 1); }
+
   [[nodiscard]] i64 rows_here(i64 tm) const {
-    return std::min<i64>(kTileM, out_->rows() - tm * kTileM);
+    return std::min<i64>(kTileM, rows_ - tm * kTileM);
   }
   [[nodiscard]] i64 cols_here(i64 tn) const {
-    return std::min<i64>(kTileN, out_->cols() - tn * kTileN);
+    return std::min<i64>(kTileN, cols_ - tn * kTileN);
   }
 
-  tcsim::PlaneSink sink_for(i64 tm, i64 tn, u32** planes) const {
-    const int out_bits = out_->bits();
-    const i64 line_stride = out_->plane(0).k_words();
-    if (out_->layout() == BitLayout::kRowMajorK) {
+  tcsim::PlaneSink plane_sink(i64 tm, i64 tn, u32** planes) const {
+    const int out_bits = planes_->bits();
+    const i64 line_stride = planes_->plane(0).k_words();
+    if (planes_->layout() == BitLayout::kRowMajorK) {
       // Line = output row; 8 column bits land in word (tn*8)/32 at offset
       // (tn%4)*8.
       const i64 word = (tn * kTileN) / kWordBits;
       for (int b = 0; b < out_bits; ++b) {
-        planes[b] = out_->plane(b).row_words(tm * kTileM) + word;
+        planes[b] = planes_->plane(b).row_words(tm * kTileM) + word;
       }
       return {planes,        line_stride,
               static_cast<int>((tn * kTileN) % kWordBits),
@@ -681,33 +820,52 @@ class PlaneTileWriter {
     // (tm%4)*8.
     const i64 word = (tm * kTileM) / kWordBits;
     for (int b = 0; b < out_bits; ++b) {
-      planes[b] = out_->plane(b).col_words(tn * kTileN) + word;
+      planes[b] = planes_->plane(b).col_words(tn * kTileN) + word;
     }
     return {planes,        line_stride,
             static_cast<int>((tm * kTileM) % kWordBits),
             out_bits,      cols_here(tn),
             rows_here(tm), /*transpose=*/true};
   }
-
-  void requantize_scatter(const tcsim::PlaneSink& sink, i64 tm, i64 tn,
-                          i32* q) const {
-    for (i64 i = 0; i < rows_here(tm); ++i) {
-      for (i64 j = 0; j < cols_here(tn); ++j) {
-        const i32 v = apply_bn(q[i * kTileN + j], tn * kTileN + j, *epi_);
-        q[i * kTileN + j] = tcsim::apply_epilogue(v, spec_);
-      }
-    }
-    tcsim::scatter_planes(sink, q);
-  }
 };
 
-/// Rejects kernels the update entry points do not run.
-void check_update_kernel(ReuseMode kernel) {
+/// Checks shared by the update entry points.
+void check_update(StageInput a, const StackedBitTensor& b, ReuseMode kernel,
+                  const BmmOptions& opt) {
+  QGTC_CHECK(a.cols() == b.rows(), "update: inner dimensions differ");
   QGTC_CHECK(kernel == ReuseMode::kCrossTile || kernel == ReuseMode::kCodeDot,
              "update stages run the tile sweep (kCrossTile) or the code dot");
+  if (!opt.allow_overflow) check_accumulator_bounds(a.cols(), a.bits(), b.bits());
+}
+
+/// Fused to-bit update body: runs `kernel` and drains every output tile
+/// through `write`. `col_major_out` when `write` fills kColMajorK planes.
+void update_requant(StageInput a, const StackedBitTensor& b,
+                    const RequantWriter& write, bool col_major_out,
+                    const BmmOptions& opt, ReuseMode kernel) {
+  const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
+  if (kernel == ReuseMode::kCodeDot) {
+    code_dot(a, b, opt, [&](i64 tm, i64 tn, i32* q) { write(tm, tn, q); });
+  } else {
+    const tcsim::SubstrateBackend& be = ctx.backend();
+    fused_tile_sweep(DensePlanesSource(plane_ptrs(a.need_planes("the tile sweep"))),
+                     plane_ptrs(b), opt, col_major_out,
+                     [&](i64 tm, i64 tn, const u64* acc) {
+                       write(be, tm, tn, acc);
+                     });
+  }
+  // Bit-decomposition never materialises an int32 matrix in "global
+  // memory" (§4.5).
+  note_int32_avoided(ctx, a.rows(), b.cols());
 }
 
 }  // namespace
+
+const StackedBitTensor& StageInput::need_planes(const char* who) const {
+  QGTC_CHECK(planes_ != nullptr,
+             std::string(who) + " reads bit planes, not a code matrix");
+  return *planes_;
+}
 
 MatrixI32 bitmm_to_int(const StackedBitTensor& a, const StackedBitTensor& b,
                        const BmmOptions& opt) {
@@ -723,7 +881,7 @@ MatrixI32 bitmm_to_int(const StackedBitTensor& a, const StackedBitTensor& b,
   return slice_logical(padded, a.rows(), b.cols());
 }
 
-MatrixI32 bitmm_fused_int(const StackedBitTensor& a, const StackedBitTensor& b,
+MatrixI32 bitmm_fused_int(StageInput a, const StackedBitTensor& b,
                           const FusedEpilogue& epi, const BmmOptions& opt,
                           ReuseMode kernel) {
   MatrixI32 out(a.rows(), b.cols());
@@ -731,14 +889,12 @@ MatrixI32 bitmm_fused_int(const StackedBitTensor& a, const StackedBitTensor& b,
   return out;
 }
 
-void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
+void bitmm_fused_int_into(StageInput a, const StackedBitTensor& b,
                           MatrixI32& out, const FusedEpilogue& epi,
                           const BmmOptions& opt, ReuseMode kernel) {
-  QGTC_CHECK(a.cols() == b.rows(), "bitmm_fused_int: inner dimensions differ");
+  check_update(a, b, kernel, opt);
   QGTC_CHECK(out.rows() == a.rows() && out.cols() == b.cols(),
              "bitmm_fused_int_into: output shape mismatch");
-  check_update_kernel(kernel);
-  if (!opt.allow_overflow) check_accumulator_bounds(a.cols(), a.bits(), b.bits());
   const i64 m = a.rows(), n = b.cols();
   if (kernel == ReuseMode::kCodeDot) {
     code_dot(a, b, opt, [&](i64 tm, i64 tn, const i32* q) {
@@ -747,65 +903,45 @@ void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
     return;
   }
   const tcsim::SubstrateBackend& be = resolve_ctx(opt).backend();
-  fused_tile_sweep(DensePlanesSource(plane_ptrs(a)), plane_ptrs(b), opt,
-                   /*col_major_out=*/false,
+  fused_tile_sweep(DensePlanesSource(plane_ptrs(a.need_planes("the tile sweep"))),
+                   plane_ptrs(b), opt, /*col_major_out=*/false,
                    [&](i64 tm, i64 tn, const u64* acc) {
                      drain_int_tile(be, out.data(), m, n, tm, tn, acc, epi);
                    });
 }
 
-namespace {
-
-/// Shared implementation of the fused to-bit epilogue over the tile sweep:
-/// requantize each tile and scatter its bits into the output planes. `src`
-/// is the A-side tile source (dense planes or the tile-CSR adjacency).
-template <typename Src>
-StackedBitTensor fused_bit_output(const Src& src,
-                                  const std::vector<const BitMatrix*>& bp,
-                                  i64 m, i64 n, int out_bits,
-                                  const FusedEpilogue& epi,
-                                  const BmmOptions& opt, PadPolicy out_pad,
-                                  BitLayout out_layout) {
-  // Build output planes directly; bit-decomposition never materialises an
-  // int32 matrix in "global memory" (§4.5).
+StackedBitTensor bitmm_fused_bit(StageInput a, const StackedBitTensor& b,
+                                 int out_bits, const FusedEpilogue& epi,
+                                 const BmmOptions& opt, PadPolicy out_pad,
+                                 BitLayout out_layout, ReuseMode kernel) {
+  check_update(a, b, kernel, opt);
+  QGTC_CHECK(out_bits >= 1 && out_bits <= 31, "out_bits must be in [1,31]");
   StackedBitTensor out =
-      StackedBitTensor::zeros(m, n, out_bits, out_layout, out_pad);
-  const PlaneTileWriter write(out, epi);
-  const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
-  const tcsim::SubstrateBackend& be = ctx.backend();
-  fused_tile_sweep(src, bp, opt, out_layout == BitLayout::kColMajorK,
-                   [&](i64 tm, i64 tn, const u64* acc) {
-                     write(be, tm, tn, acc);
-                   });
-  note_int32_avoided(ctx, m, n);
+      StackedBitTensor::zeros(a.rows(), b.cols(), out_bits, out_layout, out_pad);
+  update_requant(a, b, RequantWriter(out, epi),
+                 out_layout == BitLayout::kColMajorK, opt, kernel);
   return out;
 }
 
-}  // namespace
-
-StackedBitTensor bitmm_fused_bit(const StackedBitTensor& a,
-                                 const StackedBitTensor& b, int out_bits,
-                                 const FusedEpilogue& epi,
-                                 const BmmOptions& opt, PadPolicy out_pad,
-                                 BitLayout out_layout, ReuseMode kernel) {
-  QGTC_CHECK(a.cols() == b.rows(), "bitmm_fused_bit: inner dimensions differ");
-  QGTC_CHECK(out_bits >= 1 && out_bits <= 31, "out_bits must be in [1,31]");
-  check_update_kernel(kernel);
-  if (!opt.allow_overflow) check_accumulator_bounds(a.cols(), a.bits(), b.bits());
-  if (kernel == ReuseMode::kCodeDot) {
-    StackedBitTensor out = StackedBitTensor::zeros(a.rows(), b.cols(), out_bits,
-                                                   out_layout, out_pad);
-    const PlaneTileWriter write(out, epi);
-    code_dot(a, b, opt, [&](i64 tm, i64 tn, i32* q) { write(tm, tn, q); });
-    note_int32_avoided(resolve_ctx(opt), a.rows(), b.cols());
-    return out;
-  }
-  return fused_bit_output(DensePlanesSource(plane_ptrs(a)), plane_ptrs(b),
-                          a.rows(), b.cols(), out_bits, epi, opt, out_pad,
-                          out_layout);
+void bitmm_fused_codes(StageInput a, const StackedBitTensor& b,
+                       const CodeMatrix& out, const FusedEpilogue& epi,
+                       const BmmOptions& opt, ReuseMode kernel) {
+  check_update(a, b, kernel, opt);
+  QGTC_CHECK(out.rows == a.rows() && out.cols == b.cols(),
+             "bitmm_fused_codes: output shape mismatch");
+  update_requant(a, b, RequantWriter(out, epi), /*col_major_out=*/false, opt,
+                 kernel);
 }
 
 namespace {
+
+/// Checks shared by the aggregation entry points.
+void check_aggregate(i64 a_cols, StageInput x, ReuseMode mode,
+                     const BmmOptions& opt) {
+  QGTC_CHECK(a_cols == x.rows(), "aggregate: dimension mismatch");
+  QGTC_CHECK(mode != ReuseMode::kCodeDot, "the code dot is an update kernel");
+  if (!opt.allow_overflow) check_accumulator_bounds(a_cols, 1, x.bits());
+}
 
 /// Shared aggregate_1bit body, generic over the adjacency representation
 /// (bmm_accumulate overloads on it) and its tile source. `padded_m` is the
@@ -813,13 +949,11 @@ namespace {
 /// Assigns every element of `out` (a_bin.rows x x.cols).
 template <typename AdjT, typename Src>
 void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
-                              const StackedBitTensor& x, ReuseMode mode,
-                              MatrixI32& out, const BmmOptions& opt) {
-  QGTC_CHECK(a_bin.cols() == x.rows(), "aggregate_1bit: dimension mismatch");
+                              StageInput x, ReuseMode mode, MatrixI32& out,
+                              const BmmOptions& opt) {
+  check_aggregate(a_bin.cols(), x, mode, opt);
   QGTC_CHECK(out.rows() == a_bin.rows() && out.cols() == x.cols(),
              "aggregate_1bit_into: output shape mismatch");
-  QGTC_CHECK(mode != ReuseMode::kCodeDot, "the code dot is an update kernel");
-  if (!opt.allow_overflow) check_accumulator_bounds(a_bin.cols(), 1, x.bits());
   const i64 m = a_bin.rows(), n = x.cols();
   if (mode == ReuseMode::kRowGather) {
     row_gather(src, x, m, opt, [&](i64 r, const i32* acc) {
@@ -828,13 +962,14 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
     });
     return;
   }
+  const StackedBitTensor& xp = x.need_planes("the tile sweeps");
   if (mode == ReuseMode::kCrossBit) {
     // Figure 6(a): one complete BMM pass per bit-plane; every surviving A
     // tile is re-loaded for each plane.
     MatrixI32& padded = resolve_ctx(opt).workspace().padded_acc(
-        padded_m, x.plane(0).padded_cols());
-    for (int b = 0; b < x.bits(); ++b) {
-      bmm_accumulate(a_bin, x.plane(b), padded, b, opt);
+        padded_m, xp.plane(0).padded_cols());
+    for (int b = 0; b < xp.bits(); ++b) {
+      bmm_accumulate(a_bin, xp.plane(b), padded, b, opt);
     }
     for (i64 r = 0; r < m; ++r) {
       std::memcpy(out.data() + r * n, padded.data() + r * padded.cols(),
@@ -845,71 +980,93 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
   // Figure 6(b): cross-tile reduction via the fused sweep with a single
   // 1-bit A plane (the stored tiles only, for the tile-CSR source).
   const tcsim::SubstrateBackend& be = resolve_ctx(opt).backend();
-  fused_tile_sweep(src, plane_ptrs(x), opt, /*col_major_out=*/false,
+  fused_tile_sweep(src, plane_ptrs(xp), opt, /*col_major_out=*/false,
                    [&](i64 tm, i64 tn, const u64* acc) {
                      drain_int_tile(be, out.data(), m, n, tm, tn, acc,
                                     FusedEpilogue{});
                    });
 }
 
-}  // namespace
-
-MatrixI32 aggregate_1bit(const BitMatrix& a_bin, const StackedBitTensor& x,
-                         ReuseMode mode, const BmmOptions& opt) {
-  MatrixI32 out(a_bin.rows(), x.cols());
-  aggregate_1bit_into_impl(a_bin, pad8(a_bin.rows()),
-                           DensePlanesSource({&a_bin}), x, mode, out, opt);
-  return out;
+/// Fused to-bit aggregation body, generic over the adjacency tile source:
+/// the row gather drains each row through `write`, the tile schedules run
+/// the cross-tile sweep (cross-bit has no fused form). Outputs are
+/// kRowMajorK planes or codes.
+template <typename Src>
+void aggregate_requant(const Src& src, i64 m, StageInput x,
+                       const RequantWriter& write, const BmmOptions& opt,
+                       ReuseMode mode) {
+  const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
+  if (mode == ReuseMode::kRowGather) {
+    QGTC_CHECK(write.bits() <= 8,
+               "the row gather's fused output packs at most 8 bits");
+    row_gather(src, x, m, opt, [&](i64 r, i32* acc) { write.row(r, acc); });
+  } else {
+    const tcsim::SubstrateBackend& be = ctx.backend();
+    fused_tile_sweep(src, plane_ptrs(x.need_planes("the tile sweeps")), opt,
+                     /*col_major_out=*/false,
+                     [&](i64 tm, i64 tn, const u64* acc) {
+                       write(be, tm, tn, acc);
+                     });
+  }
+  note_int32_avoided(ctx, m, x.cols());
 }
 
-MatrixI32 aggregate_1bit(const TileSparseBitMatrix& a_bin,
-                         const StackedBitTensor& x, ReuseMode mode,
-                         const BmmOptions& opt) {
-  MatrixI32 out(a_bin.rows(), x.cols());
-  aggregate_1bit_into_impl(a_bin, a_bin.padded_rows(), SparseAdjSource(a_bin),
-                           x, mode, out, opt);
-  return out;
-}
-
-void aggregate_1bit_into(const BitMatrix& a_bin, const StackedBitTensor& x,
-                         ReuseMode mode, MatrixI32& out,
-                         const BmmOptions& opt) {
-  aggregate_1bit_into_impl(a_bin, pad8(a_bin.rows()),
-                           DensePlanesSource({&a_bin}), x, mode, out, opt);
-}
-
-void aggregate_1bit_into(const TileSparseBitMatrix& a_bin,
-                         const StackedBitTensor& x, ReuseMode mode,
-                         MatrixI32& out, const BmmOptions& opt) {
-  aggregate_1bit_into_impl(a_bin, a_bin.padded_rows(), SparseAdjSource(a_bin),
-                           x, mode, out, opt);
-}
-
-namespace {
-
-/// Shared aggregate_fused_bit body, generic over the adjacency tile source.
 template <typename AdjT, typename Src>
 StackedBitTensor aggregate_fused_bit_impl(const AdjT& a_bin, const Src& src,
-                                          const StackedBitTensor& x,
-                                          int out_bits, const FusedEpilogue& epi,
+                                          StageInput x, int out_bits,
+                                          const FusedEpilogue& epi,
                                           const BmmOptions& opt,
                                           PadPolicy out_pad, ReuseMode mode) {
-  QGTC_CHECK(a_bin.cols() == x.rows(), "aggregate_fused_bit: dimension mismatch");
+  check_aggregate(a_bin.cols(), x, mode, opt);
   QGTC_CHECK(out_bits >= 1 && out_bits <= 31, "out_bits must be in [1,31]");
-  QGTC_CHECK(mode != ReuseMode::kCodeDot, "the code dot is an update kernel");
-  if (!opt.allow_overflow) check_accumulator_bounds(a_bin.cols(), 1, x.bits());
-  if (mode == ReuseMode::kRowGather) {
-    return gather_bit_output(src, x, a_bin.rows(), out_bits, epi, opt, out_pad);
-  }
-  return fused_bit_output(src, plane_ptrs(x), a_bin.rows(), x.cols(), out_bits,
-                          epi, opt, out_pad, BitLayout::kRowMajorK);
+  StackedBitTensor out = StackedBitTensor::zeros(
+      a_bin.rows(), x.cols(), out_bits, BitLayout::kRowMajorK, out_pad);
+  aggregate_requant(src, a_bin.rows(), x, RequantWriter(out, epi), opt, mode);
+  return out;
+}
+
+template <typename AdjT, typename Src>
+void aggregate_fused_codes_impl(const AdjT& a_bin, const Src& src,
+                                StageInput x, const CodeMatrix& out,
+                                const FusedEpilogue& epi, const BmmOptions& opt,
+                                ReuseMode mode) {
+  check_aggregate(a_bin.cols(), x, mode, opt);
+  QGTC_CHECK(out.rows == a_bin.rows() && out.cols == x.cols(),
+             "aggregate_fused_codes: output shape mismatch");
+  aggregate_requant(src, a_bin.rows(), x, RequantWriter(out, epi), opt, mode);
 }
 
 }  // namespace
 
-StackedBitTensor aggregate_fused_bit(const BitMatrix& a_bin,
-                                     const StackedBitTensor& x, int out_bits,
-                                     const FusedEpilogue& epi,
+MatrixI32 aggregate_1bit(const BitMatrix& a_bin, StageInput x, ReuseMode mode,
+                         const BmmOptions& opt) {
+  MatrixI32 out(a_bin.rows(), x.cols());
+  aggregate_1bit_into(a_bin, x, mode, out, opt);
+  return out;
+}
+
+MatrixI32 aggregate_1bit(const TileSparseBitMatrix& a_bin, StageInput x,
+                         ReuseMode mode, const BmmOptions& opt) {
+  MatrixI32 out(a_bin.rows(), x.cols());
+  aggregate_1bit_into(a_bin, x, mode, out, opt);
+  return out;
+}
+
+void aggregate_1bit_into(const BitMatrix& a_bin, StageInput x, ReuseMode mode,
+                         MatrixI32& out, const BmmOptions& opt) {
+  aggregate_1bit_into_impl(a_bin, pad8(a_bin.rows()),
+                           DensePlanesSource({&a_bin}), x, mode, out, opt);
+}
+
+void aggregate_1bit_into(const TileSparseBitMatrix& a_bin, StageInput x,
+                         ReuseMode mode, MatrixI32& out,
+                         const BmmOptions& opt) {
+  aggregate_1bit_into_impl(a_bin, a_bin.padded_rows(), SparseAdjSource(a_bin),
+                           x, mode, out, opt);
+}
+
+StackedBitTensor aggregate_fused_bit(const BitMatrix& a_bin, StageInput x,
+                                     int out_bits, const FusedEpilogue& epi,
                                      const BmmOptions& opt, PadPolicy out_pad,
                                      ReuseMode mode) {
   return aggregate_fused_bit_impl(a_bin, DensePlanesSource({&a_bin}), x,
@@ -917,12 +1074,26 @@ StackedBitTensor aggregate_fused_bit(const BitMatrix& a_bin,
 }
 
 StackedBitTensor aggregate_fused_bit(const TileSparseBitMatrix& a_bin,
-                                     const StackedBitTensor& x, int out_bits,
+                                     StageInput x, int out_bits,
                                      const FusedEpilogue& epi,
                                      const BmmOptions& opt, PadPolicy out_pad,
                                      ReuseMode mode) {
   return aggregate_fused_bit_impl(a_bin, SparseAdjSource(a_bin), x, out_bits,
                                   epi, opt, out_pad, mode);
+}
+
+void aggregate_fused_codes(const BitMatrix& a_bin, StageInput x,
+                           const CodeMatrix& out, const FusedEpilogue& epi,
+                           const BmmOptions& opt, ReuseMode mode) {
+  aggregate_fused_codes_impl(a_bin, DensePlanesSource({&a_bin}), x, out, epi,
+                             opt, mode);
+}
+
+void aggregate_fused_codes(const TileSparseBitMatrix& a_bin, StageInput x,
+                           const CodeMatrix& out, const FusedEpilogue& epi,
+                           const BmmOptions& opt, ReuseMode mode) {
+  aggregate_fused_codes_impl(a_bin, SparseAdjSource(a_bin), x, out, epi, opt,
+                             mode);
 }
 
 }  // namespace qgtc

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "bittensor/code_matrix.hpp"
 #include "bittensor/stacked.hpp"
 #include "kernels/bmm.hpp"
 
@@ -34,6 +35,47 @@ enum class ReuseMode {
   kCodeDot,    // updates only: unpack both operands to u8 codes and take
                // exact int32 dot products over the surviving K tiles (no
                // tile MMAs); see code_dot_applies for when it is allowed
+};
+
+/// True for the kernels that compute on u8 codes (kRowGather, kCodeDot):
+/// they read a CodeMatrix operand in place and unpack a bit-plane one first.
+[[nodiscard]] constexpr bool is_code_kernel(ReuseMode k) {
+  return k == ReuseMode::kRowGather || k == ReuseMode::kCodeDot;
+}
+
+/// The activation operand of a stage (the A side of an update, the X side of
+/// an aggregation) in the form its producer handed it over: packed bit
+/// planes, or a u8 code matrix between code-kernel stages. Converts
+/// implicitly from either. The tile sweeps read planes only; the code
+/// kernels read either, and the code form saves them the unpack. It points
+/// at the operand, which must outlive it (pass it as a call argument).
+class StageInput {
+ public:
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  StageInput(const StackedBitTensor& planes) : planes_(&planes) {}
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  StageInput(const CodeMatrix& codes) : codes_(&codes) {}
+
+  /// Null unless the operand is in that form.
+  [[nodiscard]] const StackedBitTensor* planes() const { return planes_; }
+  [[nodiscard]] const CodeMatrix* codes() const { return codes_; }
+
+  [[nodiscard]] i64 rows() const {
+    return planes_ != nullptr ? planes_->rows() : codes_->rows;
+  }
+  [[nodiscard]] i64 cols() const {
+    return planes_ != nullptr ? planes_->cols() : codes_->cols;
+  }
+  [[nodiscard]] int bits() const {
+    return planes_ != nullptr ? planes_->bits() : codes_->bits;
+  }
+
+  /// The planes, or a throw naming `who` as a kernel that reads planes only.
+  [[nodiscard]] const StackedBitTensor& need_planes(const char* who) const;
+
+ private:
+  const StackedBitTensor* planes_ = nullptr;
+  const CodeMatrix* codes_ = nullptr;
 };
 
 /// Fused epilogue applied to each finished 8x8 int32 output tile (§4.5).
@@ -61,9 +103,8 @@ struct FusedEpilogue {
 
 /// Plane pairs (s·t) from which an update stage runs the code dot instead of
 /// the tile sweep: the sweep's cost grows with s·t, the code dot's does not.
-/// DESIGN.md ("Update kernels") has the A/B table, and why the constant sits
-/// above the measured kernel crossover.
-inline constexpr int kCodeDotMinPlanePairs = 32;
+/// DESIGN.md ("Update kernels") has the A/B table behind the constant.
+inline constexpr int kCodeDotMinPlanePairs = 12;
 
 /// bitMM2Int (paper §5): C = A(s-bit) x B(t-bit) with int32 output.
 /// Straightforward Algorithm-1 composition: one shifted BMM pass per
@@ -75,8 +116,9 @@ MatrixI32 bitmm_to_int(const StackedBitTensor& a, const StackedBitTensor& b,
 /// pairs and K tiles are reduced locally, then the epilogue (ReLU/BN) runs
 /// before the single store. This is the production path for output layers.
 /// `kernel` is kCrossTile (the tile sweep) or kCodeDot (which needs
-/// code_dot_applies); both are bit-identical and jump the same tiles.
-MatrixI32 bitmm_fused_int(const StackedBitTensor& a, const StackedBitTensor& b,
+/// code_dot_applies); both are bit-identical and jump the same tiles. A code
+/// operand `a` needs kCodeDot.
+MatrixI32 bitmm_fused_int(StageInput a, const StackedBitTensor& b,
                           const FusedEpilogue& epi = {},
                           const BmmOptions& opt = {},
                           ReuseMode kernel = ReuseMode::kCrossTile);
@@ -85,7 +127,7 @@ MatrixI32 bitmm_fused_int(const StackedBitTensor& a, const StackedBitTensor& b,
 /// (typically the ExecutionContext workspace's int32_scratch — the unfused
 /// fallback path allocates nothing per call). `out` must be a.rows x b.cols;
 /// every element is assigned.
-void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
+void bitmm_fused_int_into(StageInput a, const StackedBitTensor& b,
                           MatrixI32& out, const FusedEpilogue& epi = {},
                           const BmmOptions& opt = {},
                           ReuseMode kernel = ReuseMode::kCrossTile);
@@ -98,13 +140,22 @@ void bitmm_fused_int_into(const StackedBitTensor& a, const StackedBitTensor& b,
 /// kRowMajorK when it becomes the next A operand (GCN hidden layers),
 /// kColMajorK when it becomes the next B operand (GIN update-then-aggregate).
 /// `kernel` as for bitmm_fused_int.
-StackedBitTensor bitmm_fused_bit(const StackedBitTensor& a,
-                                 const StackedBitTensor& b, int out_bits,
+StackedBitTensor bitmm_fused_bit(StageInput a, const StackedBitTensor& b,
+                                 int out_bits,
                                  const FusedEpilogue& epi = {},
                                  const BmmOptions& opt = {},
                                  PadPolicy out_pad = PadPolicy::kOperand128,
                                  BitLayout out_layout = BitLayout::kRowMajorK,
                                  ReuseMode kernel = ReuseMode::kCrossTile);
+
+/// bitmm_fused_bit for a consumer that runs a code kernel: the requantized
+/// output goes to the code matrix `out` (a.rows x b.cols, out.bits <= 8
+/// output bits) instead of bit planes, padding zeroed per CodeMatrix.
+/// `kernel` as for bitmm_fused_int.
+void bitmm_fused_codes(StageInput a, const StackedBitTensor& b,
+                       const CodeMatrix& out, const FusedEpilogue& epi = {},
+                       const BmmOptions& opt = {},
+                       ReuseMode kernel = ReuseMode::kCrossTile);
 
 /// True when the row gather may run an aggregation over `x_bits`-bit codes
 /// with `opt`: zero-tile jumping on, the AND combine, codes that fit in u8,
@@ -114,8 +165,9 @@ StackedBitTensor bitmm_fused_bit(const StackedBitTensor& a,
 [[nodiscard]] bool row_gather_applies(int x_bits, const BmmOptions& opt);
 
 /// Neighbour aggregation X_new = A_bin x X with selectable schedule (the
-/// Figure 10 ablation, plus kRowGather). int32 output.
-MatrixI32 aggregate_1bit(const BitMatrix& a_bin, const StackedBitTensor& x,
+/// Figure 10 ablation, plus kRowGather). int32 output. A code operand `x`
+/// needs kRowGather.
+MatrixI32 aggregate_1bit(const BitMatrix& a_bin, StageInput x,
                          ReuseMode mode, const BmmOptions& opt = {});
 
 /// Structurally sparse aggregation: A is a tile-CSR adjacency, so only the
@@ -123,16 +175,16 @@ MatrixI32 aggregate_1bit(const BitMatrix& a_bin, const StackedBitTensor& x,
 /// dense scan. Bit-identical to the dense overload; substrate accounting
 /// (bmma_ops / tiles_jumped) matches the flag-based jump exactly.
 MatrixI32 aggregate_1bit(const TileSparseBitMatrix& a_bin,
-                         const StackedBitTensor& x, ReuseMode mode,
+                         StageInput x, ReuseMode mode,
                          const BmmOptions& opt = {});
 
 /// In-place aggregation variants writing into caller-provided storage (same
 /// contract as bitmm_fused_int_into; used by the unfused fallback path).
-void aggregate_1bit_into(const BitMatrix& a_bin, const StackedBitTensor& x,
+void aggregate_1bit_into(const BitMatrix& a_bin, StageInput x,
                          ReuseMode mode, MatrixI32& out,
                          const BmmOptions& opt = {});
 void aggregate_1bit_into(const TileSparseBitMatrix& a_bin,
-                         const StackedBitTensor& x, ReuseMode mode,
+                         StageInput x, ReuseMode mode,
                          MatrixI32& out, const BmmOptions& opt = {});
 
 /// Fused aggregation: requantizes X_new to `out_bits` inside the epilogue.
@@ -140,7 +192,7 @@ void aggregate_1bit_into(const TileSparseBitMatrix& a_bin,
 /// 8 output bits); the tile schedules run the cross-tile sweep (cross-bit
 /// has no fused form).
 StackedBitTensor aggregate_fused_bit(const BitMatrix& a_bin,
-                                     const StackedBitTensor& x, int out_bits,
+                                     StageInput x, int out_bits,
                                      const FusedEpilogue& epi = {},
                                      const BmmOptions& opt = {},
                                      PadPolicy out_pad = PadPolicy::kOperand128,
@@ -148,11 +200,23 @@ StackedBitTensor aggregate_fused_bit(const BitMatrix& a_bin,
 
 /// Fused aggregation over a tile-CSR adjacency (structural jumping).
 StackedBitTensor aggregate_fused_bit(const TileSparseBitMatrix& a_bin,
-                                     const StackedBitTensor& x, int out_bits,
+                                     StageInput x, int out_bits,
                                      const FusedEpilogue& epi = {},
                                      const BmmOptions& opt = {},
                                      PadPolicy out_pad = PadPolicy::kOperand128,
                                      ReuseMode mode = ReuseMode::kCrossTile);
+
+/// aggregate_fused_bit for a consumer that runs a code kernel: the
+/// requantized output goes to the code matrix `out` (a_bin.rows x x.cols,
+/// out.bits <= 8 output bits), padding zeroed per CodeMatrix.
+void aggregate_fused_codes(const BitMatrix& a_bin, StageInput x,
+                           const CodeMatrix& out, const FusedEpilogue& epi = {},
+                           const BmmOptions& opt = {},
+                           ReuseMode mode = ReuseMode::kCrossTile);
+void aggregate_fused_codes(const TileSparseBitMatrix& a_bin, StageInput x,
+                           const CodeMatrix& out, const FusedEpilogue& epi = {},
+                           const BmmOptions& opt = {},
+                           ReuseMode mode = ReuseMode::kCrossTile);
 
 /// Right-shift such that `max_acc` lands inside `out_bits` bits.
 int calibrate_rshift(i32 max_acc, int out_bits);

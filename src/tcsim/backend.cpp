@@ -209,12 +209,12 @@ struct Avx512Kernels {
   /// Up to 64 columns per pass, held in NV zmm accumulators across the
   /// whole neighbour list (16 u8 codes widened to i32 per load).
   template <int NV>
-  static void add_code_block(i32* acc, const u8* codes, i64 width,
+  static void add_code_block(i32* acc, const u8* codes, i64 stride,
                              const i32* rows, i64 count) {
     __m512i s[NV];
     for (int v = 0; v < NV; ++v) s[v] = _mm512_loadu_si512(acc + 16 * v);
     for (i64 t = 0; t < count; ++t) {
-      const u8* src = codes + static_cast<i64>(rows[t]) * width;
+      const u8* src = codes + static_cast<i64>(rows[t]) * stride;
       for (int v = 0; v < NV; ++v) {
         s[v] = _mm512_add_epi32(
             s[v], _mm512_cvtepu8_epi32(_mm_loadu_si128(
@@ -301,16 +301,16 @@ struct Avx512Kernels {
   }
 #endif  // AVX512BW
 
-  static void add_code_rows(i32* acc, const u8* codes, i64 width,
+  static void add_code_rows(i32* acc, const u8* codes, i64 stride, i64 width,
                             const i32* rows, i64 count) {
     for (i64 j0 = 0; j0 < width; j0 += 64) {
       i32* a = acc + j0;
       const u8* c = codes + j0;
       switch (std::min<i64>(width - j0, 64) / 16) {
-        case 1: add_code_block<1>(a, c, width, rows, count); break;
-        case 2: add_code_block<2>(a, c, width, rows, count); break;
-        case 3: add_code_block<3>(a, c, width, rows, count); break;
-        default: add_code_block<4>(a, c, width, rows, count); break;
+        case 1: add_code_block<1>(a, c, stride, rows, count); break;
+        case 2: add_code_block<2>(a, c, stride, rows, count); break;
+        case 3: add_code_block<3>(a, c, stride, rows, count); break;
+        default: add_code_block<4>(a, c, stride, rows, count); break;
       }
     }
   }
@@ -488,16 +488,17 @@ class BackendImpl final : public SubstrateBackend {
     }
     scatter_planes(sink, vals);
   }
-  void add_code_rows(i32* acc, const u8* codes, i64 width, const i32* rows,
-                     i64 count) const override {
+  void add_code_rows(i32* acc, const u8* codes, i64 stride, i64 width,
+                     const i32* rows, i64 count) const override {
     // The AVX-512 micro-kernel brings its own widened add; the others keep
     // the base loop (the scalar reference among them).
     if constexpr (requires {
-                    Kernels::add_code_rows(acc, codes, width, rows, count);
+                    Kernels::add_code_rows(acc, codes, stride, width, rows,
+                                           count);
                   }) {
-      Kernels::add_code_rows(acc, codes, width, rows, count);
+      Kernels::add_code_rows(acc, codes, stride, width, rows, count);
     } else {
-      SubstrateBackend::add_code_rows(acc, codes, width, rows, count);
+      SubstrateBackend::add_code_rows(acc, codes, stride, width, rows, count);
     }
   }
   void dot_code_tile(i32* acc, const u8* a, i64 a_stride, const u8* b,
@@ -607,10 +608,11 @@ void SubstrateBackend::mma_tile_list(u64* acc, const SparseTileRef* tiles,
   }
 }
 
-void SubstrateBackend::add_code_rows(i32* acc, const u8* codes, i64 width,
-                                     const i32* rows, i64 count) const {
+void SubstrateBackend::add_code_rows(i32* acc, const u8* codes, i64 stride,
+                                     i64 width, const i32* rows,
+                                     i64 count) const {
   for (i64 t = 0; t < count; ++t) {
-    const u8* src = codes + static_cast<i64>(rows[t]) * width;
+    const u8* src = codes + static_cast<i64>(rows[t]) * stride;
     for (i64 j = 0; j < width; ++j) acc[j] += static_cast<i32>(src[j]);
   }
 }

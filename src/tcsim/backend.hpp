@@ -206,12 +206,13 @@ class SubstrateBackend {
                              i64 a_stride, const u32* b_cols, i64 b_stride,
                              i64 nb, int shift, bool use_xor) const;
 
-  /// Row-gather hook: acc[j] += codes[rows[t] * width + j] for every listed
-  /// row t and every j < width — one output row's neighbour sum over
-  /// unpacked u8 codes. `width` is a multiple of kCodeRowAlign; acc holds
-  /// `width` lanes. Exact int32 arithmetic (callers bound the sum), so every
-  /// override is bit-identical to the base scalar loop.
-  virtual void add_code_rows(i32* acc, const u8* codes, i64 width,
+  /// Row-gather hook: acc[j] += codes[rows[t] * stride + j] for every listed
+  /// row t and every j < width — one output row's neighbour sum over u8
+  /// code rows `stride` bytes apart. `width` is a multiple of kCodeRowAlign
+  /// and at most `stride`; acc holds `width` lanes. Exact int32 arithmetic
+  /// (callers bound the sum), so every override is bit-identical to the base
+  /// scalar loop.
+  virtual void add_code_rows(i32* acc, const u8* codes, i64 stride, i64 width,
                              const i32* rows, i64 count) const;
 
   /// Code-dot hook: acc[i * 8 + j] += sum over k < len of a[i * a_stride + k]

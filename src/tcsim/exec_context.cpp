@@ -52,6 +52,15 @@ u8* Workspace::row_codes(i64 bytes) {
   return row_codes_.data();
 }
 
+u8* Workspace::code_activation(int slot, i64 bytes) {
+  if (static_cast<std::size_t>(slot) >= code_activations_.size()) {
+    code_activations_.resize(static_cast<std::size_t>(slot) + 1);
+  }
+  AlignedVector<u8>& v = code_activations_[static_cast<std::size_t>(slot)];
+  if (static_cast<i64>(v.size()) < bytes) v.resize(static_cast<std::size_t>(bytes));
+  return v.data();
+}
+
 i32* Workspace::gather_lanes(i64 lanes) {
   if (static_cast<i64>(gather_lanes_.size()) < lanes) {
     gather_lanes_.resize(static_cast<std::size_t>(lanes));
@@ -68,6 +77,7 @@ std::size_t Workspace::footprint_bytes() const {
     b += static_cast<std::size_t>(m.size()) * sizeof(i32);
   }
   for (const auto& l : k_lists_) b += l.capacity() * sizeof(i64);
+  for (const auto& v : code_activations_) b += v.size();
   return b;
 }
 

@@ -64,6 +64,12 @@ class Workspace {
   /// code_scratch, which the calling thread holds while it works too).
   u8* row_codes(i64 bytes);
 
+  /// Uninitialised, 64-byte-aligned u8 storage for a stage's output code
+  /// matrix (CodeMatrix). Slots ping-pong between consecutive stages of a
+  /// forward pass: a stage reads the previous stage's slot while it writes
+  /// its own.
+  u8* code_activation(int slot, i64 bytes);
+
   /// Uninitialised, 64-byte-aligned i32 scratch: the row gather's per-thread
   /// accumulator row and neighbour list.
   i32* gather_lanes(i64 lanes);
@@ -79,6 +85,7 @@ class Workspace {
   AlignedVector<u64> acc_lanes_;
   AlignedVector<u8> code_scratch_;
   AlignedVector<u8> row_codes_;
+  std::vector<AlignedVector<u8>> code_activations_;
   AlignedVector<i32> gather_lanes_;
 };
 

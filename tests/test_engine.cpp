@@ -114,22 +114,36 @@ TEST(Engine, EpochBitIdenticalAtOneAndFourThreads) {
   // Results must not depend on the thread count: one epoch on a single
   // thread vs four OpenMP threads (inside each forward pass, and across
   // inter-batch workers), in both epoch modes, logits and counters alike.
-  // 8-bit GIN runs its updates on the code dot, whose kColMajorK outputs
-  // share plane words between row blocks.
+  // With the default row gathers, updates of 4 and more bits run the code
+  // dot and the stages hand each other u8 codes; 2-bit GCN mixes tile-sweep
+  // updates with gathers. With tile-sweep aggregations the GIN updates
+  // (code dot at 4 bits, sweep at 2) write kColMajorK planes, whose words
+  // four row blocks share.
+  struct Case {
+    gnn::ModelKind kind;
+    int bits;
+    ReuseMode reuse;
+  };
   const Dataset ds = small_dataset();
   const int saved = num_threads();
-  for (const auto [kind, bits] :
-       {std::pair{gnn::ModelKind::kClusterGCN, 4},
-        std::pair{gnn::ModelKind::kBatchedGIN, 4},
-        std::pair{gnn::ModelKind::kBatchedGIN, 8}}) {
+  for (const Case c : {Case{gnn::ModelKind::kClusterGCN, 2, ReuseMode::kRowGather},
+                       Case{gnn::ModelKind::kClusterGCN, 4, ReuseMode::kRowGather},
+                       Case{gnn::ModelKind::kClusterGCN, 8, ReuseMode::kRowGather},
+                       Case{gnn::ModelKind::kBatchedGIN, 4, ReuseMode::kRowGather},
+                       Case{gnn::ModelKind::kBatchedGIN, 8, ReuseMode::kRowGather},
+                       Case{gnn::ModelKind::kBatchedGIN, 2, ReuseMode::kCrossTile},
+                       Case{gnn::ModelKind::kBatchedGIN, 4, ReuseMode::kCrossTile}}) {
     for (const bool streaming : {false, true}) {
-      EngineConfig cfg = small_config(kind, bits);
+      EngineConfig cfg = small_config(c.kind, c.bits);
+      cfg.model.reuse = c.reuse;
       if (streaming) {
         cfg.mode = RunMode::streaming_pipeline(/*depth=*/2, /*prepare=*/2,
                                                RunMode::Adjacency::kTileSparse);
       }
-      const std::string tag = std::string(gnn::model_name(kind)) + " " +
-                              std::to_string(bits) + "-bit" +
+      const bool gather = c.reuse == ReuseMode::kRowGather;
+      const std::string tag = std::string(gnn::model_name(c.kind)) + " " +
+                              std::to_string(c.bits) + "-bit" +
+                              (gather ? "" : " tile-sweep aggregation") +
                               (streaming ? " streaming" : " precomputed");
       QgtcEngine engine(ds, cfg);
       set_num_threads(1);
@@ -148,8 +162,15 @@ TEST(Engine, EpochBitIdenticalAtOneAndFourThreads) {
         EXPECT_EQ(four.code_macs, one.code_macs) << tag;
         EXPECT_EQ(four.int32_bytes_avoided, one.int32_bytes_avoided) << tag;
       }
-      EXPECT_GT(one.gather_edges, 0) << tag;
-      EXPECT_EQ(one.code_macs > 0, bits == 8) << tag;
+      EXPECT_EQ(one.gather_edges > 0, gather) << tag;
+      bool code_dot = false, sweep = !gather;
+      for (int l = 0; l < cfg.model.num_layers; ++l) {
+        const bool dot = engine.model().upd_plan(l).kernel == ReuseMode::kCodeDot;
+        code_dot |= dot;
+        sweep |= !dot;
+      }
+      EXPECT_EQ(one.code_macs > 0, code_dot) << tag;
+      EXPECT_EQ(one.bmma_ops > 0, sweep) << tag;
     }
   }
   set_num_threads(saved);

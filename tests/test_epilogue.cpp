@@ -5,6 +5,9 @@
 // avoid the int32 intermediate (counter > 0 fused, == 0 unfused).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "gnn/model.hpp"
@@ -165,6 +168,9 @@ struct ModelFixture {
 struct ModelRun {
   MatrixI32 logits;
   gnn::ForwardStats stats;
+  int code_dot_updates = 0;  // update stages the calibrated plan runs as
+  int sweep_updates = 0;     // the code dot / the tile sweep
+  int code_outputs = 0;      // stages that hand over a code matrix
 };
 
 ModelRun run_model(const ModelFixture& f, const gnn::GnnConfig& cfg,
@@ -180,6 +186,15 @@ ModelRun run_model(const ModelFixture& f, const gnn::GnnConfig& cfg,
     m.calibrate(f.adj, f.feats);
     r.logits = m.forward_quantized(f.adj, f.feats, &r.stats, &ctx);
   }
+  for (int l = 0; l < cfg.num_layers; ++l) {
+    std::vector<const gnn::EpiloguePlan*> updates = {&m.upd_plan(l)};
+    if (cfg.gin_mlp) updates.push_back(&m.upd2_plan(l));
+    for (const gnn::EpiloguePlan* p : updates) {
+      (p->kernel == ReuseMode::kCodeDot ? r.code_dot_updates : r.sweep_updates)++;
+      r.code_outputs += p->out_form == gnn::StageOutput::kCodes;
+    }
+    r.code_outputs += m.agg_plan(l).out_form == gnn::StageOutput::kCodes;
+  }
   return r;
 }
 
@@ -187,35 +202,58 @@ ModelRun run_model(const ModelFixture& f, const gnn::GnnConfig& cfg,
 // bit-identical logits AND the identical tile schedule (bmma_ops,
 // tiles_jumped) on every backend × adjacency layout, while only the fused
 // pass skips int32 intermediates. (frag_loads are not compared: they count
-// A fragment loads per schedule, which is not part of this claim.)
+// A fragment loads per schedule, which is not part of this claim.) Fused
+// stages whose consumer runs a code kernel hand over u8 codes instead of
+// planes, so this is also the code handoff against planes: 4- and 8-bit
+// models run every stage as a code kernel, and 2-bit GCN is a mixed plan
+// (tile-sweep updates hand codes to row gathers, which hand planes back).
 TEST(Epilogue, ModelParityAcrossBackendsAndLayouts) {
+  struct Case {
+    gnn::ModelKind kind;
+    int bits;
+    bool gin_mlp;
+  };
   const ModelFixture f;
   for (const auto kind : tcsim::all_backends()) {
-    for (const auto mk :
-         {gnn::ModelKind::kClusterGCN, gnn::ModelKind::kBatchedGIN}) {
-      // 8-bit GIN updates run the code dot (fused into both plane layouts).
-      for (const int bits : {4, 8}) {
-        if (bits == 8 && mk == gnn::ModelKind::kClusterGCN) continue;
-        for (const bool sparse : {false, true}) {
-          gnn::GnnConfig fused_cfg = f.config(mk, bits, Activation::kRelu);
-          fused_cfg.fused_epilogue = true;
-          gnn::GnnConfig unfused_cfg = fused_cfg;
-          unfused_cfg.fused_epilogue = false;
-          const ModelRun fused = run_model(f, fused_cfg, kind, sparse);
-          const ModelRun unfused = run_model(f, unfused_cfg, kind, sparse);
-          const std::string tag = std::string(tcsim::backend_name(kind)) +
-                                  "/" + gnn::model_name(mk) + "/" +
-                                  std::to_string(bits) +
-                                  (sparse ? "/sparse" : "/dense");
-          EXPECT_EQ(fused.logits, unfused.logits) << tag;
-          EXPECT_EQ(fused.stats.bmma_ops, unfused.stats.bmma_ops) << tag;
-          EXPECT_EQ(fused.stats.tiles_jumped, unfused.stats.tiles_jumped)
-              << tag;
-          EXPECT_EQ(fused.stats.code_macs, unfused.stats.code_macs) << tag;
-          EXPECT_EQ(fused.stats.code_macs > 0, bits == 8) << tag;
-          EXPECT_GT(fused.stats.int32_bytes_avoided, 0) << tag;
-          EXPECT_EQ(unfused.stats.int32_bytes_avoided, 0) << tag;
+    for (const Case c : {Case{gnn::ModelKind::kClusterGCN, 2, false},
+                         Case{gnn::ModelKind::kClusterGCN, 4, false},
+                         Case{gnn::ModelKind::kClusterGCN, 8, false},
+                         Case{gnn::ModelKind::kBatchedGIN, 4, false},
+                         Case{gnn::ModelKind::kBatchedGIN, 8, false},
+                         Case{gnn::ModelKind::kBatchedGIN, 8, true}}) {
+      for (const bool sparse : {false, true}) {
+        gnn::GnnConfig fused_cfg = f.config(c.kind, c.bits, Activation::kRelu);
+        fused_cfg.gin_mlp = c.gin_mlp;
+        fused_cfg.fused_epilogue = true;
+        gnn::GnnConfig unfused_cfg = fused_cfg;
+        unfused_cfg.fused_epilogue = false;
+        const ModelRun fused = run_model(f, fused_cfg, kind, sparse);
+        const ModelRun unfused = run_model(f, unfused_cfg, kind, sparse);
+        const std::string tag = std::string(tcsim::backend_name(kind)) + "/" +
+                                gnn::model_name(c.kind) +
+                                (c.gin_mlp ? "-mlp/" : "/") +
+                                std::to_string(c.bits) +
+                                (sparse ? "/sparse" : "/dense");
+        EXPECT_EQ(fused.logits, unfused.logits) << tag;
+        EXPECT_EQ(fused.stats.bmma_ops, unfused.stats.bmma_ops) << tag;
+        EXPECT_EQ(fused.stats.tiles_jumped, unfused.stats.tiles_jumped)
+            << tag;
+        EXPECT_EQ(fused.stats.gather_edges, unfused.stats.gather_edges) << tag;
+        EXPECT_EQ(fused.stats.code_macs, unfused.stats.code_macs) << tag;
+        EXPECT_EQ(fused.stats.code_macs > 0, fused.code_dot_updates > 0)
+            << tag;
+        EXPECT_EQ(fused.code_dot_updates, unfused.code_dot_updates) << tag;
+        EXPECT_GT(fused.code_outputs, 0) << tag;
+        EXPECT_EQ(unfused.code_outputs, 0) << tag;
+        if (c.bits == 2) {
+          EXPECT_GT(fused.sweep_updates, 0) << tag;
+          EXPECT_GT(fused.stats.bmma_ops, 0) << tag;
+        } else {
+          EXPECT_EQ(fused.sweep_updates, 0) << tag;
+          EXPECT_EQ(fused.stats.bmma_ops, 0) << tag;
         }
+        EXPECT_GT(fused.stats.int32_bytes_avoided, 0) << tag;
+        EXPECT_EQ(unfused.stats.int32_bytes_avoided, 0) << tag;
       }
     }
   }

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -36,6 +38,15 @@ std::vector<u32> plane_words(const StackedBitTensor& t) {
     w.insert(w.end(), p.data(), p.data() + p.bytes() / 4);
   }
   return w;
+}
+
+/// The logical codes of a code matrix.
+MatrixI32 code_values(const CodeMatrix& c) {
+  MatrixI32 m(c.rows, c.cols);
+  for (i64 r = 0; r < c.rows; ++r) {
+    for (i64 j = 0; j < c.cols; ++j) m(r, j) = c.row(r)[j];
+  }
+  return m;
 }
 
 /// One fuzz round: random (m, k, n, s, t, densities, jump) — full pipeline
@@ -136,15 +147,15 @@ TEST_P(PipelineFuzz, AnyBitPipelineMatchesReference) {
   }
 }
 
-// The 9-16-bit path: accumulators wrap (allow_overflow), so only the tile
+// The 9-31-bit path: accumulators wrap (allow_overflow), so only the tile
 // sweep may run it. Both sweeps must equal a uint32-wrapping reference.
 TEST_P(PipelineFuzz, WrappingSweepMatchesUint32Reference) {
   Rng rng(static_cast<u64>(GetParam()) * 8191 + 5);
   const i64 m = rng.next_in(1, 40);
   const i64 k = rng.next_in(1, 300);
   const i64 n = rng.next_in(1, 30);
-  const int s = static_cast<int>(rng.next_in(9, 16));
-  const int t = static_cast<int>(rng.next_in(9, 16));
+  const int s = static_cast<int>(rng.next_in(9, 31));
+  const int t = static_cast<int>(rng.next_in(9, 31));
   const MatrixI32 a = random_codes(rng, m, k, s, 0.3f);
   const MatrixI32 b = random_codes(rng, k, n, t, 0.3f);
   MatrixI32 expect(m, n);
@@ -302,6 +313,224 @@ TEST_P(PipelineFuzz, RowGatherMatchesCrossTileOnEveryBackend) {
     all_outputs("dense+map", dense, &map);
     all_outputs("tile-csr", sparse, nullptr);
   }
+}
+
+/// Code matrix storage pre-filled with a non-zero byte, so a producer that
+/// leaves padding unwritten is caught.
+AlignedVector<u8> code_storage(i64 rows, i64 cols) {
+  return AlignedVector<u8>(
+      static_cast<std::size_t>(CodeMatrix::bytes_for(rows, cols)), u8{0xA5});
+}
+
+/// `q` (codes below 2^bits) as the code matrix a fused producer hands over.
+CodeMatrix to_codes(const MatrixI32& q, int bits, AlignedVector<u8>& storage) {
+  std::fill(storage.begin(), storage.end(), u8{0});
+  const CodeMatrix c = CodeMatrix::over(storage.data(), q.rows(), q.cols(), bits);
+  for (i64 r = 0; r < q.rows(); ++r) {
+    for (i64 j = 0; j < q.cols(); ++j) c.row(r)[j] = static_cast<u8>(q(r, j));
+  }
+  return c;
+}
+
+/// Every byte of `c`'s padded extent, after checking the padding is zero.
+std::vector<u32> code_bytes(const CodeMatrix& c, const std::string& what) {
+  std::vector<u32> out;
+  for (i64 r = 0; r < c.padded_rows(); ++r) {
+    for (i64 j = 0; j < c.stride; ++j) {
+      if (r >= c.rows || j >= c.cols) {
+        EXPECT_EQ(c.row(r)[j], 0) << what << ": padding at (" << r << "," << j
+                                  << ")";
+      }
+      out.push_back(c.row(r)[j]);
+    }
+  }
+  return out;
+}
+
+/// A random ragged extent in [lo, hi] that is not a multiple of `avoid`.
+i64 ragged(Rng& rng, i64 lo, i64 hi, i64 avoid) {
+  i64 v = rng.next_in(lo, hi);
+  while (v % avoid == 0) v = rng.next_in(lo, hi);
+  return v;
+}
+
+/// The counters the code handoff must leave unchanged.
+void expect_same_counters(const tcsim::Counters& got, const tcsim::Counters& want,
+                          const std::string& what) {
+  EXPECT_EQ(got.bmma_ops, want.bmma_ops) << what;
+  EXPECT_EQ(got.tiles_jumped, want.tiles_jumped) << what;
+  EXPECT_EQ(got.gather_edges, want.gather_edges) << what;
+  EXPECT_EQ(got.code_macs, want.code_macs) << what;
+  EXPECT_EQ(got.int32_bytes_avoided, want.int32_bytes_avoided) << what;
+}
+
+// The code handoff, bit for bit, on every backend: the row gather and the
+// code dot reading a code matrix against the same kernels reading the
+// operand's planes (equal outputs and counters), and against the tile sweep
+// with zero-tile jumping off (equal outputs). Outputs: int, unfused-into,
+// codes and planes (both layouts for the update; aggregations write
+// kRowMajorK), each with and without BN. The gather runs over dense (with
+// and without a flag map) and tile-CSR adjacencies. m is not a multiple of
+// 8, n not one of 16, and every code output has zero padding.
+TEST_P(PipelineFuzz, CodeHandoffMatchesPlanesOnEveryBackend) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the code kernels run on little-endian hosts only";
+  }
+  Rng rng(static_cast<u64>(GetParam()) * 40503 + 17);
+  const i64 m = ragged(rng, 1, 150, 8);
+  const i64 k = rng.next_in(1, 300);
+  const i64 n = ragged(rng, 1, 90, 16);
+  const int s = static_cast<int>(rng.next_in(1, 8));
+  const int t = static_cast<int>(rng.next_in(1, 8));
+  const int out_bits = static_cast<int>(rng.next_in(1, 8));
+
+  const MatrixI32 adj = random_adjacency(rng, m, k);
+  const MatrixI32 x = random_codes(rng, k, n, s, 0.3f);  // aggregation X
+  MatrixI32 a = random_codes(rng, m, k, s, 0.5f);  // update A
+  // Zero some 8x128 tiles of A, so the code dot has tiles to jump.
+  for (i64 r0 = 0; r0 < m; r0 += kTileM) {
+    for (i64 k0 = 0; k0 < k; k0 += kTileK) {
+      if (!rng.next_bool(0.4f)) continue;
+      for (i64 i = r0; i < std::min(m, r0 + kTileM); ++i) {
+        for (i64 j = k0; j < std::min(k, k0 + kTileK); ++j) a(i, j) = 0;
+      }
+    }
+  }
+  const MatrixI32 w = random_codes(rng, k, n, t, 0.3f);
+  const BitMatrix dense = pack_nonzero(adj, BitLayout::kRowMajorK);
+  const TileMap map = build_tile_map(dense);
+  const TileSparseBitMatrix sparse = TileSparseBitMatrix::from_bit_matrix(dense);
+  const auto px = StackedBitTensor::decompose(x, s, BitLayout::kColMajorK);
+  const auto pa = StackedBitTensor::decompose(a, s, BitLayout::kRowMajorK);
+  const auto pw = StackedBitTensor::decompose(w, t, BitLayout::kColMajorK);
+  AlignedVector<u8> x_store = code_storage(k, n), a_store = code_storage(m, k);
+  const CodeMatrix cx = to_codes(x, s, x_store);
+  const CodeMatrix ca = to_codes(a, s, a_store);
+
+  const auto epilogue = [&](const MatrixI32& ref, bool bn) {
+    i32 mx = 0;
+    for (i64 i = 0; i < ref.size(); ++i) mx = std::max(mx, ref.data()[i]);
+    FusedEpilogue e;
+    e.act = bn ? tcsim::Activation::kRelu : tcsim::Activation::kIdentity;
+    e.rshift = calibrate_rshift(mx, out_bits);
+    e.use_bn = bn;
+    for (i64 j = 0; bn && j < n; ++j) {
+      e.bn_scale.push_back(rng.next_float(0.5f, 1.5f));
+      e.bn_bias.push_back(rng.next_float(-20.0f, 20.0f));
+    }
+    return e;
+  };
+  const FusedEpilogue agg_epi[] = {epilogue(matmul_reference(adj, x), false),
+                                   epilogue(matmul_reference(adj, x), true)};
+  const FusedEpilogue upd_epi[] = {epilogue(matmul_reference(a, w), false),
+                                   epilogue(matmul_reference(a, w), true)};
+
+  using Output = std::function<std::vector<u32>(StageInput, ReuseMode,
+                                                const BmmOptions&)>;
+  for (const tcsim::BackendKind kind : tcsim::all_backends()) {
+    const std::string be = tcsim::backend_name(kind);
+    // `out` over the planes, over the codes, and the tile sweep over the
+    // planes with jumping off.
+    const auto check = [&](const std::string& what, StageInput planes,
+                           StageInput codes, ReuseMode kernel,
+                           const TileMap* tile_map, const Output& out) {
+      const auto run = [&](StageInput in, ReuseMode mode, bool jump) {
+        const tcsim::ExecutionContext ctx(kind);
+        BmmOptions opt;
+        opt.zero_tile_jump = jump;
+        opt.tile_map = tile_map;
+        opt.ctx = &ctx;
+        std::vector<u32> got = out(in, mode, opt);
+        return std::pair{std::move(got), ctx.counters()};
+      };
+      const std::string tag = what + " on " + be;
+      const auto [want, wc] = run(planes, kernel, true);
+      const auto [got, gc] = run(codes, kernel, true);
+      EXPECT_TRUE(got == want) << tag;
+      expect_same_counters(gc, wc, tag);
+      EXPECT_TRUE(run(planes, ReuseMode::kCrossTile, false).first == want)
+          << tag << " vs the jump-off sweep";
+    };
+    const auto matrix = [](const MatrixI32& mat) {
+      return std::vector<u32>(mat.data(), mat.data() + mat.size());
+    };
+
+    const auto aggregations = [&](const std::string& layout, const auto& a_bin,
+                                  const TileMap* tile_map) {
+      const auto agg = [&](const std::string& what, const Output& out) {
+        check("gather " + layout + " " + what, px, cx, ReuseMode::kRowGather,
+              tile_map, out);
+      };
+      agg("int", [&](StageInput in, ReuseMode mode, const BmmOptions& o) {
+        return matrix(aggregate_1bit(a_bin, in, mode, o));
+      });
+      agg("unfused", [&](StageInput in, ReuseMode mode, const BmmOptions& o) {
+        MatrixI32 into(m, n, -1);
+        aggregate_1bit_into(a_bin, in, mode, into, o);
+        return matrix(into);
+      });
+      for (const FusedEpilogue& e : agg_epi) {
+        const std::string bn = e.use_bn ? " bn" : "";
+        agg("codes" + bn, [&](StageInput in, ReuseMode mode, const BmmOptions& o) {
+          AlignedVector<u8> store = code_storage(m, n);
+          const CodeMatrix c = CodeMatrix::over(store.data(), m, n, out_bits);
+          aggregate_fused_codes(a_bin, in, c, e, o, mode);
+          const StackedBitTensor p = aggregate_fused_bit(
+              a_bin, in, out_bits, e, o, PadPolicy::kTile8, mode);
+          EXPECT_EQ(p.compose(), code_values(c)) << "codes vs planes" << bn;
+          return code_bytes(c, "gather " + layout + " codes" + bn);
+        });
+        agg("planes" + bn, [&](StageInput in, ReuseMode mode, const BmmOptions& o) {
+          return plane_words(aggregate_fused_bit(a_bin, in, out_bits, e, o,
+                                                 PadPolicy::kTile8, mode));
+        });
+      }
+    };
+    aggregations("dense", dense, nullptr);
+    aggregations("dense+map", dense, &map);
+    aggregations("tile-csr", sparse, nullptr);
+
+    const auto upd = [&](const std::string& what, const Output& out) {
+      check("code dot " + what, pa, ca, ReuseMode::kCodeDot, nullptr, out);
+    };
+    for (const FusedEpilogue& e : upd_epi) {
+      const std::string bn = e.use_bn ? " bn" : "";
+      upd("int" + bn, [&](StageInput in, ReuseMode mode, const BmmOptions& o) {
+        return matrix(bitmm_fused_int(in, pw, e, o, mode));
+      });
+      upd("unfused" + bn, [&](StageInput in, ReuseMode mode, const BmmOptions& o) {
+        MatrixI32 into(m, n, -1);
+        bitmm_fused_int_into(in, pw, into, e, o, mode);
+        return matrix(into);
+      });
+      upd("codes" + bn, [&](StageInput in, ReuseMode mode, const BmmOptions& o) {
+        AlignedVector<u8> store = code_storage(m, n);
+        const CodeMatrix c = CodeMatrix::over(store.data(), m, n, out_bits);
+        bitmm_fused_codes(in, pw, c, e, o, mode);
+        return code_bytes(c, "code dot codes" + bn);
+      });
+      for (const BitLayout layout : {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
+        upd((layout == BitLayout::kRowMajorK ? "row-major" : "col-major") + bn,
+            [&](StageInput in, ReuseMode mode, const BmmOptions& o) {
+              return plane_words(bitmm_fused_bit(in, pw, out_bits, e, o,
+                                                 PadPolicy::kTile8, layout, mode));
+            });
+      }
+    }
+  }
+
+  // The code kernels need jumping; the tile sweeps read planes only.
+  BmmOptions no_jump;
+  EXPECT_THROW((void)aggregate_1bit(dense, cx, ReuseMode::kRowGather, no_jump),
+               std::invalid_argument);
+  EXPECT_THROW((void)bitmm_fused_int(ca, pw, {}, no_jump, ReuseMode::kCodeDot),
+               std::invalid_argument);
+  BmmOptions jump;
+  jump.zero_tile_jump = true;
+  EXPECT_THROW((void)aggregate_1bit(dense, cx, ReuseMode::kCrossTile, jump),
+               std::invalid_argument);
+  EXPECT_THROW((void)bitmm_fused_int(ca, pw, {}, jump, ReuseMode::kCrossTile),
+               std::invalid_argument);
 }
 
 TEST(RowGather, RejectsIneligibleStages) {

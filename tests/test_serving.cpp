@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <stdexcept>
@@ -95,19 +96,59 @@ TEST(ExpandEgo, RejectsBadSeeds) {
 
 // ------------------------------------------------- offline/online parity
 
+/// A randomly malformed request: empty seeds, a negative, out-of-range or
+/// duplicate seed among good ones, or a negative fanout or max_nodes.
+ServingRequest malformed_request(Rng& rng, i32 num_nodes) {
+  ServingRequest req;
+  for (int i = 0, k = static_cast<int>(rng.next_in(1, 4)); i < k; ++i) {
+    req.seeds.push_back(static_cast<i32>(rng.next_below(
+        static_cast<u64>(num_nodes))));
+  }
+  std::sort(req.seeds.begin(), req.seeds.end());
+  req.seeds.erase(std::unique(req.seeds.begin(), req.seeds.end()),
+                  req.seeds.end());
+  req.fanout = static_cast<int>(rng.next_in(0, 2));
+  const auto at = static_cast<std::ptrdiff_t>(rng.next_below(req.seeds.size() + 1));
+  switch (rng.next_below(6)) {
+    case 0:
+      req.seeds.clear();
+      break;
+    case 1:
+      req.seeds.insert(req.seeds.begin() + at,
+                       static_cast<i32>(-1 - rng.next_in(0, 1000)));
+      break;
+    case 2:
+      req.seeds.insert(req.seeds.begin() + at,
+                       static_cast<i32>(num_nodes + rng.next_in(0, 1000)));
+      break;
+    case 3:
+      req.seeds.insert(req.seeds.begin() + at, req.seeds.front());
+      break;
+    case 4:
+      req.fanout = static_cast<int>(-1 - rng.next_in(0, 5));
+      break;
+    default:
+      req.max_nodes = -1 - rng.next_in(0, 100);
+      break;
+  }
+  return req;
+}
+
 // Submits each offline batch's partitions as explicit-node requests (fanout
 // 0) with max_batch_requests = partitions-per-batch and an effectively
 // infinite wait, so the batcher reproduces the offline batch membership
 // deterministically — per-batch quantization then guarantees bit-identical
 // logits and identical counter totals. Checks every result and the counter
 // totals against the offline epoch (`ref`, `ref_logits`) and returns the
-// serving stats.
+// serving stats. With `malformed`, random malformed requests drawn from it
+// are interleaved with the good ones, and each must fail its own future.
 ServingStats serve_offline_membership(const Dataset& ds, const EngineConfig& cfg,
                                       const QgtcEngine& offline,
                                       const EngineStats& ref,
                                       const std::vector<MatrixI32>& ref_logits,
                                       int compute_workers,
-                                      const std::string& tag) {
+                                      const std::string& tag,
+                                      Rng* malformed = nullptr) {
   ServingPolicy policy;
   policy.max_batch_requests = cfg.batch_size;
   policy.max_batch_nodes = i64{1} << 40;  // only the request count rules
@@ -116,7 +157,7 @@ ServingStats serve_offline_membership(const Dataset& ds, const EngineConfig& cfg
   policy.compute_workers = compute_workers;
   ServingEngine serving(ds, cfg, policy);
 
-  std::vector<std::future<ServingResult>> futures;
+  std::vector<std::future<ServingResult>> futures, bad;
   std::vector<std::pair<i64, i64>> origin;  // (offline batch, partition)
   for (i64 b = 0; b < offline.num_batches(); ++b) {
     const SubgraphBatch& batch =
@@ -128,9 +169,16 @@ ServingStats serve_offline_membership(const Dataset& ds, const EngineConfig& cfg
                        batch.nodes.begin() + batch.part_bounds[p + 1]);
       futures.push_back(serving.submit(std::move(req)));
       origin.emplace_back(b, p);
+      while (malformed != nullptr && malformed->next_bool(0.5f)) {
+        bad.push_back(serving.submit(
+            malformed_request(*malformed, static_cast<i32>(ds.spec.num_nodes))));
+      }
     }
   }
   serving.stop();  // flushes any partial trailing micro-batch
+  // A malformed request fails its own future and is never admitted, so the
+  // good ones still form the offline batches.
+  for (auto& f : bad) EXPECT_THROW(f.get(), std::invalid_argument) << tag;
 
   i64 served_nodes = 0;
   for (std::size_t i = 0; i < futures.size(); ++i) {
@@ -160,6 +208,7 @@ ServingStats serve_offline_membership(const Dataset& ds, const EngineConfig& cfg
   const ServingStats st = serving.stats();
   EXPECT_EQ(served_nodes, ref.nodes) << tag;
   EXPECT_EQ(st.requests_completed, static_cast<i64>(futures.size())) << tag;
+  EXPECT_EQ(st.requests_admitted, static_cast<i64>(futures.size())) << tag;
   EXPECT_EQ(st.requests_failed, 0) << tag;
   EXPECT_EQ(st.batches_dispatched, offline.num_batches()) << tag;
   // Counter parity: the compute sessions' totals over exactly one epoch of
@@ -275,6 +324,23 @@ TEST(ServingFailure, BadRequestFailsItselfNotTheServer) {
   const ServingStats st = serving.stats();
   EXPECT_EQ(st.requests_completed, completed);
   EXPECT_EQ(st.requests_admitted, completed);  // no bad one ever got in
+}
+
+// Seeded fuzz of admission: random malformed requests interleaved with the
+// offline epoch's good ones. Each malformed future fails alone with
+// std::invalid_argument, and every good request stays bit-identical to the
+// offline batch (serve_offline_membership checks both).
+TEST(ServingFailure, FuzzedMalformedRequestsFailAlone) {
+  const Dataset ds = serving_dataset();
+  const EngineConfig cfg = serving_config();
+  QgtcEngine offline(ds, cfg);
+  std::vector<MatrixI32> ref_logits;
+  const EngineStats ref = offline.run_quantized(1, &ref_logits);
+  for (const u64 seed : {1, 2, 3, 4}) {
+    Rng rng(seed);
+    (void)serve_offline_membership(ds, cfg, offline, ref, ref_logits, 2,
+                                   "seed " + std::to_string(seed), &rng);
+  }
 }
 
 TEST(ServingFailure, SubmitAfterStopThrows) {
