@@ -1,27 +1,28 @@
-// Staged streaming executor (paper §4.6 / §6 deployed as a pipeline): one
-// epoch flows through three stages connected by bounded queues —
+// Staged executor (paper §4.6 / §6 deployed as a pipeline): items flow from
+// a source through three stages connected by bounded queues —
 //
-//   prepare (P workers) --[BoundedQueue, depth]--> ship (1 worker)
+//   source --> prepare (P workers) --[BoundedQueue, depth]--> ship (1 worker)
 //        --[BoundedQueue, depth]--> compute (C workers)
 //
-// *prepare* hands over a batch's data (built lazily from the global CSR +
-// features, or a ref to a resident batch), *ship* packs it into a
-// double-buffered StagingRing slot and charges the PcieModel inline (on the
-// timed path), *compute* runs the forward pass. Peak resident memory is
-// O(depth) prepared batches instead of O(epoch): a full prep queue blocks the
-// producers until compute drains.
+// The *source* hands over items in turn: an epoch's batch ids 0..n-1
+// (run_stream_epoch) or serving's coalesced micro-batches. *prepare* builds
+// an item's data (lazily from the global CSR + features, or a ref to a
+// resident batch), *ship* packs it into a double-buffered StagingRing slot
+// and charges the PcieModel inline (on the timed path), *compute* runs the
+// forward pass. Peak resident memory is O(depth) prepared items instead of
+// O(epoch): a full prep queue blocks the producers until compute drains.
 //
 // Prepare and ship run on std::threads; compute is an OpenMP team on the
 // calling thread, so kernel-level OpenMP regions inside a compute worker are
 // nested (inactive) and the thread-local kernel workspaces and the OpenMP
-// pool stay warm across epochs.
+// pool stay warm across runs.
 //
 // The GPU analogy (see DESIGN.md substitution table): prepare workers are
 // the host-side DataLoader threads, the ship worker is the copy engine
-// feeding pinned buffers, compute workers are the device streams. Overlap
-// accounting replays the epoch on a two-engine timeline (serial copy engine,
-// serial compute engine) to report the modelled wire time that was NOT
-// hidden behind compute (`exposed_transfer_seconds`).
+// feeding pinned buffers, compute workers are the device streams. Epochs
+// replay their batches on a two-engine timeline (serial copy engine, serial
+// compute engine) to report the modelled wire time that was NOT hidden
+// behind compute (`exposed_transfer_seconds`).
 #pragma once
 
 #include <atomic>
@@ -148,21 +149,6 @@ class BoundedQueue {
     not_empty_.notify_all();
   }
 
-  /// Reopens a closed or aborted queue for reuse, dropping any still-pending
-  /// items. A long-lived server that aborted a poisoned epoch calls this to
-  /// survive: the failure kills that epoch's items, not the queue — without
-  /// it a single bad batch would leave every later push/pop returning
-  /// end-of-stream forever.
-  void reset() {
-    {
-      std::lock_guard lock(mu_);
-      items_.clear();
-      closed_ = false;
-    }
-    // Producers parked in push() re-check the (now open, empty) queue.
-    not_full_.notify_all();
-  }
-
   [[nodiscard]] bool closed() const {
     std::lock_guard lock(mu_);
     return closed_;
@@ -189,8 +175,20 @@ class BoundedQueue {
 double exposed_transfer_seconds(std::span<const double> wire_seconds,
                                 std::span<const double> compute_seconds);
 
-/// Stage worker layout of one streaming epoch.
+/// Adds `blocked` seconds of queue wait to `stage`'s stall time and emits it
+/// as a (`cat`, `name`) trace span ending now: the stall half of a stage's
+/// busy/stall split (the busy half is the stage-body span).
+inline void note_stall(obs::StageBreakdown& stage, const char* cat,
+                       const char* name, double blocked) {
+  if (blocked <= 0.0) return;
+  stage.stall_seconds += blocked;
+  const u64 dur = static_cast<u64>(blocked * 1e9);
+  obs::emit_span(cat, name, obs::SpanSink::now_ns() - dur, dur);
+}
+
+/// Stage worker layout of one pipeline run.
 struct StreamEpochConfig {
+  /// Epoch length (run_stream_epoch only; serving's source is open-ended).
   i64 num_batches = 0;
   /// Capacity of each inter-stage queue: peak resident prepared batches is
   /// ~2*depth + workers (both queues full + items held by stage hands).
@@ -201,79 +199,81 @@ struct StreamEpochConfig {
   int compute_workers = 1;
 };
 
-/// Per-epoch accounting the pipeline hands back to the engine.
-struct StreamEpochStats {
-  double epoch_seconds = 0;  // wall time, all three stages overlapped
+/// What a pipeline run's stages add up. Busy-vs-stall is summed over each
+/// stage's workers (so a stage's busy+stall can exceed wall time when it has
+/// several workers). Stall is time blocked on the source or the queues — a
+/// stalling prepare stage means depth/workers are undersized, a stalling
+/// compute stage means prepare or ship is the bottleneck.
+struct StageTotals {
+  obs::StageBreakdown prepare_stage;
+  obs::StageBreakdown ship_stage;
+  obs::StageBreakdown compute_stage;
   // Transfer accounting, charged inline by the ship stage.
   i64 packed_bytes = 0;
   i64 adj_bytes = 0;
-  double wire_seconds = 0;     // total modelled PCIe time
+  double wire_seconds = 0;  // total modelled PCIe time
+  // Items whose ship stage reported a device-resident payload
+  // (transfer::resident_reuse() — BatchCache hits skipping pack + wire).
+  i64 resident_reuse_batches = 0;
+};
+
+/// Per-epoch accounting the pipeline hands back to the engine.
+struct StreamEpochStats : StageTotals {
+  double epoch_seconds = 0;    // wall time, all three stages overlapped
   double exposed_seconds = 0;  // wire time not hidden behind compute
-  double staging_seconds = 0;  // measured pack-into-slot memcpy time
   // Peak bytes of simultaneously-live prepared batches (the O(depth) bound)
   // plus the staging-ring allocation high-water.
   i64 peak_prepared_bytes = 0;
   i64 staging_capacity_bytes = 0;
-  // Batches whose ship stage reported a device-resident payload
-  // (transfer::resident_reuse() — BatchCache hits skipping pack + wire).
-  i64 resident_reuse_batches = 0;
-  // Per-stage busy-vs-stall decomposition, summed over each stage's workers
-  // (so a stage's busy+stall can exceed epoch wall time when it has several
-  // workers). Stall is time blocked on the inter-stage queues — a stalling
-  // prepare stage means depth/workers are undersized, a stalling compute
-  // stage means prepare or ship is the bottleneck.
-  obs::StageBreakdown prepare_stage;
-  obs::StageBreakdown ship_stage;
-  obs::StageBreakdown compute_stage;
 };
 
-/// Runs one epoch through the three-stage pipeline. `ring` is the ship
-/// stage's staging-slot ring; the caller owns it so its capacity survives
-/// across epochs (the warm-up epoch grows the slots once, timed epochs
-/// reuse them — the pinned-buffer discipline).
+/// Runs items through the three-stage pipeline until the source ends and
+/// returns the peak bytes of simultaneously-live prepared items. `ring` is
+/// the ship stage's staging-slot ring; the caller owns it so its capacity
+/// survives across runs (the pinned-buffer discipline). Each stage adds to
+/// `totals`, under `totals_mu`, as every item leaves it, so the totals can
+/// be read while the pipeline runs.
 ///
-///   prepare(i)            -> Item            build batch i's data
+///   source(i, blocked)    -> optional<Item>  item i, or nullopt to end the
+///                                            stream; `blocked` = its wait
+///   prepare(item, i)      -> void            build item i's data in place
 ///   bytes(item)           -> i64             resident size (peak accounting)
-///   ship(item, slot)      -> PackedSubgraph  pack into a staging slot
+///   ship(item, i, slot)   -> PackedSubgraph  pack into a staging slot
 ///   compute(item, i, w)   -> void            forward pass on worker w
+///   fail(item, error)     -> void            a stage threw `error` on item
 ///
-/// Compute worker ids are dense in [0, min(compute_workers,
-/// omp_get_max_threads())). Item indices are handed to prepare in ascending
-/// order but may complete — and therefore ship and compute — out of order;
-/// callers must not depend on batch execution order (the engine's counters
-/// and logits are index-keyed). If any stage throws, both queues abort, every
-/// worker unwinds, and the first exception is rethrown here after all
-/// threads joined.
-template <typename Item, typename PrepareFn, typename BytesFn,
-          typename ShipFn, typename ComputeFn>
-StreamEpochStats run_stream_epoch(const StreamEpochConfig& cfg,
-                                  transfer::StagingRing& ring,
-                                  PrepareFn&& prepare, BytesFn&& bytes,
-                                  ShipFn&& ship, ComputeFn&& compute) {
-  QGTC_CHECK(cfg.num_batches >= 0, "num_batches must be non-negative");
+/// Indices count source requests from 0. Compute worker ids are dense in
+/// [0, min(compute_workers, omp_get_max_threads())). Items may ship and
+/// compute out of order. When `fail` returns, only its item is dropped
+/// (serving); when it throws, both queues abort, every worker unwinds, and
+/// the first exception is rethrown here after all threads joined (epochs).
+template <typename Item, typename SourceFn, typename PrepareFn,
+          typename BytesFn, typename ShipFn, typename ComputeFn,
+          typename FailFn>
+i64 run_stage_pipeline(const StreamEpochConfig& cfg,
+                       transfer::StagingRing& ring, StageTotals& totals,
+                       std::mutex& totals_mu, SourceFn&& source,
+                       PrepareFn&& prepare, BytesFn&& bytes, ShipFn&& ship,
+                       ComputeFn&& compute, FailFn&& fail) {
   QGTC_CHECK(cfg.depth >= 1, "pipeline depth must be >= 1");
   QGTC_CHECK(cfg.prepare_workers >= 1 && cfg.compute_workers >= 1,
              "stage worker counts must be >= 1");
 
-  StreamEpochStats stats;
-  if (cfg.num_batches == 0) return stats;
-  const std::size_t n = static_cast<std::size_t>(cfg.num_batches);
-
   struct Slot {
     i64 index = 0;
+    i64 bytes = 0;  // live from prepare until the item leaves the pipeline
     Item item;
   };
   BoundedQueue<Slot> prep_q(static_cast<std::size_t>(cfg.depth));
   BoundedQueue<Slot> ship_q(static_cast<std::size_t>(cfg.depth));
 
-  std::atomic<i64> next_batch{0};
+  std::atomic<i64> next_index{0};
   std::atomic<i64> live_bytes{0};
   std::atomic<i64> peak_bytes{0};
-  std::vector<double> wire(n, 0.0), comp(n, 0.0);
 
   std::mutex err_mu;
   std::exception_ptr first_error;
-  const auto fail = [&](std::exception_ptr e) {
+  const auto abort_run = [&](std::exception_ptr e) {
     {
       std::lock_guard lock(err_mu);
       if (!first_error) first_error = e;
@@ -281,26 +281,18 @@ StreamEpochStats run_stream_epoch(const StreamEpochConfig& cfg,
     prep_q.abort();
     ship_q.abort();
   };
-
-  // Per-stage busy/stall accumulation: each worker sums locally, merges once
-  // under a mutex at thread end — nothing shared on the per-batch path.
-  std::mutex stage_mu;
-  const auto merge_stage = [&](obs::StageBreakdown& into,
-                               const obs::StageBreakdown& local) {
-    std::lock_guard lock(stage_mu);
-    into += local;
+  // Called from a stage's catch block: the item leaves the live set, and
+  // fail() either drops it (returns) or aborts the run (throws).
+  const auto drop = [&](Slot& s) {
+    live_bytes.fetch_sub(s.bytes, std::memory_order_relaxed);
+    fail(s.item, std::current_exception());
   };
-  // Emits the stall half of the decomposition as a trace span (the busy half
-  // is the stage-body span): `blocked` seconds ending now.
-  const auto stall_span = [](const char* cat, const char* name,
-                             double blocked) {
-    if (blocked > 0.0) {
-      const u64 dur = static_cast<u64>(blocked * 1e9);
-      obs::emit_span(cat, name, obs::SpanSink::now_ns() - dur, dur);
-    }
+  const auto add = [&](obs::StageBreakdown StageTotals::*stage,
+                       const obs::StageBreakdown& local) {
+    std::lock_guard lock(totals_mu);
+    totals.*stage += local;
   };
 
-  Timer epoch_timer;
   // The calling thread computes, so the last preparer to finish ends the
   // stream (lets the ship stage drain and close ship_q).
   std::atomic<int> preparers_left{cfg.prepare_workers};
@@ -308,35 +300,45 @@ StreamEpochStats run_stream_epoch(const StreamEpochConfig& cfg,
   prepare_threads.reserve(static_cast<std::size_t>(cfg.prepare_workers));
   for (int p = 0; p < cfg.prepare_workers; ++p) {
     prepare_threads.emplace_back([&] {
-      obs::StageBreakdown local;
       try {
-        for (;;) {
-          const i64 i = next_batch.fetch_add(1, std::memory_order_relaxed);
-          if (i >= cfg.num_batches) break;
-          Timer busy;
-          i64 sz = 0;
-          Slot s{i, [&] {
-                   QGTC_SPAN("prepare", "batch", {{"batch", i}});
-                   return prepare(i);
-                 }()};
-          sz = bytes(s.item);
-          local.busy_seconds += busy.seconds();
-          const i64 live = live_bytes.fetch_add(sz, std::memory_order_relaxed) + sz;
-          i64 peak = peak_bytes.load(std::memory_order_relaxed);
-          while (live > peak &&
-                 !peak_bytes.compare_exchange_weak(peak, live,
-                                                   std::memory_order_relaxed)) {
-          }
+        for (bool more = true; more;) {
+          obs::StageBreakdown local;
+          const i64 i = next_index.fetch_add(1, std::memory_order_relaxed);
           double blocked = 0.0;
-          const bool pushed = prep_q.push(std::move(s), &blocked);
-          local.stall_seconds += blocked;
-          stall_span("prepare", "stall.push", blocked);
-          if (!pushed) break;  // aborted epoch
+          std::optional<Item> item = source(i, blocked);
+          note_stall(local, "prepare", "stall.pop", blocked);
+          more = item.has_value();
+          if (more) {
+            Slot s{i, 0, std::move(*item)};
+            const Timer busy;
+            bool prepared = true;
+            try {
+              QGTC_SPAN("prepare", "batch", {{"batch", i}});
+              prepare(s.item, i);
+              s.bytes = bytes(s.item);
+            } catch (...) {
+              prepared = false;
+              drop(s);
+            }
+            local.busy_seconds += busy.seconds();
+            if (prepared) {
+              const i64 live =
+                  live_bytes.fetch_add(s.bytes, std::memory_order_relaxed) +
+                  s.bytes;
+              i64 peak = peak_bytes.load(std::memory_order_relaxed);
+              while (live > peak &&
+                     !peak_bytes.compare_exchange_weak(
+                         peak, live, std::memory_order_relaxed)) {
+              }
+              more = prep_q.push(std::move(s), &blocked);  // false: aborted
+              note_stall(local, "prepare", "stall.push", blocked);
+            }
+          }
+          add(&StageTotals::prepare_stage, local);
         }
       } catch (...) {
-        fail(std::current_exception());
+        abort_run(std::current_exception());
       }
-      merge_stage(stats.prepare_stage, local);
       if (preparers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         prep_q.close();
       }
@@ -344,80 +346,125 @@ StreamEpochStats run_stream_epoch(const StreamEpochConfig& cfg,
   }
 
   std::thread ship_thread([&] {
-    obs::StageBreakdown local;
     try {
-      for (;;) {
+      for (bool more = true; more;) {
+        obs::StageBreakdown local;
         double blocked = 0.0;
         std::optional<Slot> s = prep_q.pop(&blocked);
-        local.stall_seconds += blocked;
-        stall_span("ship", "stall.pop", blocked);
-        if (!s.has_value()) break;
-        Timer busy;
-        const transfer::PackedSubgraph packed = [&] {
-          QGTC_SPAN("ship", "batch", {{"batch", s->index}});
-          return ship(s->item, ring.next());
-        }();
-        local.busy_seconds += busy.seconds();
-        wire[static_cast<std::size_t>(s->index)] = packed.modeled_seconds;
-        stats.packed_bytes += packed.total_bytes;
-        stats.adj_bytes += packed.adjacency_bytes;
-        stats.wire_seconds += packed.modeled_seconds;
-        stats.staging_seconds += packed.staging_seconds;
-        if (packed.transfers == 0) ++stats.resident_reuse_batches;
-        blocked = 0.0;
-        const bool pushed = ship_q.push(std::move(*s), &blocked);
-        local.stall_seconds += blocked;
-        stall_span("ship", "stall.push", blocked);
-        if (!pushed) break;  // aborted epoch
+        note_stall(local, "ship", "stall.pop", blocked);
+        more = s.has_value();
+        std::optional<transfer::PackedSubgraph> packed;
+        if (more) {
+          const Timer busy;
+          try {
+            QGTC_SPAN("ship", "batch", {{"batch", s->index}});
+            packed = ship(s->item, s->index, ring.next());
+          } catch (...) {
+            drop(*s);
+          }
+          local.busy_seconds += busy.seconds();
+        }
+        if (packed.has_value()) {
+          more = ship_q.push(std::move(*s), &blocked);  // false: aborted
+          note_stall(local, "ship", "stall.push", blocked);
+          std::lock_guard lock(totals_mu);
+          totals.packed_bytes += packed->total_bytes;
+          totals.adj_bytes += packed->adjacency_bytes;
+          totals.wire_seconds += packed->modeled_seconds;
+          if (packed->transfers == 0) ++totals.resident_reuse_batches;
+        }
+        add(&StageTotals::ship_stage, local);
       }
-      stats.staging_capacity_bytes = ring.capacity_bytes();
       ship_q.close();
     } catch (...) {
-      fail(std::current_exception());
+      abort_run(std::current_exception());
     }
-    merge_stage(stats.ship_stage, local);
   });
 
   // Compute stage: one loop per team member until ship_q ends. Extra
   // iterations (team clamped below compute_workers) find the stream ended.
-  // Nothing may escape the OpenMP region, so failures go through fail().
+  // Nothing may escape the OpenMP region, so failures go through abort_run.
   parallel_for_workers(0, cfg.compute_workers, cfg.compute_workers,
                        [&](i64, int w) {
-    obs::StageBreakdown local;
     try {
-      for (;;) {
+      for (bool more = true; more;) {
+        obs::StageBreakdown local;
         double blocked = 0.0;
         std::optional<Slot> s = ship_q.pop(&blocked);
-        local.stall_seconds += blocked;
-        stall_span("compute", "stall.pop", blocked);
-        if (!s.has_value()) break;
-        Timer t;
-        {
-          QGTC_SPAN("compute", "batch", {{"batch", s->index}, {"worker", w}});
-          compute(s->item, s->index, w);
+        note_stall(local, "compute", "stall.pop", blocked);
+        more = s.has_value();
+        if (more) {
+          const Timer busy;
+          try {
+            QGTC_SPAN("compute", "batch", {{"batch", s->index}, {"worker", w}});
+            compute(s->item, s->index, w);
+            live_bytes.fetch_sub(s->bytes, std::memory_order_relaxed);
+          } catch (...) {
+            drop(*s);
+          }
+          local.busy_seconds += busy.seconds();
+          // `s` (and the prepared item) dies here — O(depth) residency.
         }
-        const double busy = t.seconds();
-        comp[static_cast<std::size_t>(s->index)] = busy;
-        local.busy_seconds += busy;
-        live_bytes.fetch_sub(bytes(s->item), std::memory_order_relaxed);
-        // `s` (and the prepared batch) dies here — O(depth) residency.
+        add(&StageTotals::compute_stage, local);
       }
     } catch (...) {
-      fail(std::current_exception());
+      abort_run(std::current_exception());
     }
-    merge_stage(stats.compute_stage, local);
   });
 
   for (std::thread& t : prepare_threads) t.join();
   ship_thread.join();
-  stats.epoch_seconds = epoch_timer.seconds();
-
   {
     std::lock_guard lock(err_mu);
     if (first_error) std::rethrow_exception(first_error);
   }
+  return peak_bytes.load(std::memory_order_relaxed);
+}
 
-  stats.peak_prepared_bytes = peak_bytes.load(std::memory_order_relaxed);
+/// Runs one epoch: run_stage_pipeline over batch ids 0..num_batches-1, with
+/// prepare(i) -> Item, ship(item, slot) and compute(item, i, w). Any stage
+/// exception aborts the epoch and is rethrown here. Callers must not depend
+/// on batch execution order (the engine's counters and logits are
+/// index-keyed).
+template <typename Item, typename PrepareFn, typename BytesFn,
+          typename ShipFn, typename ComputeFn>
+StreamEpochStats run_stream_epoch(const StreamEpochConfig& cfg,
+                                  transfer::StagingRing& ring,
+                                  PrepareFn&& prepare, BytesFn&& bytes,
+                                  ShipFn&& ship, ComputeFn&& compute) {
+  QGTC_CHECK(cfg.num_batches >= 0, "num_batches must be non-negative");
+  StreamEpochStats stats;
+  if (cfg.num_batches == 0) return stats;
+  // Per-batch modelled wire and measured compute time: the overlap replay.
+  const std::size_t n = static_cast<std::size_t>(cfg.num_batches);
+  std::vector<double> wire(n, 0.0), comp(n, 0.0);
+  std::mutex stats_mu;
+
+  const Timer epoch_timer;
+  stats.peak_prepared_bytes = run_stage_pipeline<Item>(
+      cfg, ring, stats, stats_mu,
+      /*source=*/
+      [&](i64 i, double&) {
+        return i < cfg.num_batches ? std::optional<Item>(std::in_place)
+                                   : std::nullopt;
+      },
+      /*prepare=*/[&](Item& item, i64 i) { item = prepare(i); }, bytes,
+      /*ship=*/
+      [&](Item& item, i64 i, transfer::StagingBuffer& slot) {
+        const transfer::PackedSubgraph packed = ship(item, slot);
+        wire[static_cast<std::size_t>(i)] = packed.modeled_seconds;
+        return packed;
+      },
+      /*compute=*/
+      [&](Item& item, i64 i, int w) {
+        const Timer t;
+        compute(item, i, w);
+        comp[static_cast<std::size_t>(i)] = t.seconds();
+      },
+      /*fail=*/
+      [](Item&, const std::exception_ptr& e) { std::rethrow_exception(e); });
+  stats.epoch_seconds = epoch_timer.seconds();
+  stats.staging_capacity_bytes = ring.capacity_bytes();
   stats.exposed_seconds = exposed_transfer_seconds(wire, comp);
   return stats;
 }

@@ -19,25 +19,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-/// Emits the stall half of a stage's busy/stall split as a trace span (the
-/// interval `blocked` seconds long, ending now).
-void stall_span(const char* cat, const char* name, double blocked) {
-  if (blocked > 0.0) {
-    const u64 dur = static_cast<u64>(blocked * 1e9);
-    obs::emit_span(cat, name, obs::SpanSink::now_ns() - dur, dur);
-  }
-}
-
-/// Folds one busy/stall increment into a stage breakdown under the stats
-/// mutex. Called once per micro-batch / queue operation, never per span.
-void note_stage(std::mutex& mu, obs::StageBreakdown& stage, double busy,
-                double stall) {
-  if (busy <= 0.0 && stall <= 0.0) return;
-  std::lock_guard lock(mu);
-  stage.busy_seconds += busy;
-  stage.stall_seconds += stall;
-}
 }  // namespace
 
 /// One admitted request riding through the pipeline: the expanded ego-graph
@@ -95,27 +76,13 @@ void ServingEngine::validate_policy() const {
 void ServingEngine::start(const EngineConfig& cfg) {
   admission_ = std::make_unique<BoundedQueue<Pending>>(
       static_cast<std::size_t>(policy_.admission_capacity));
-  prep_q_ = std::make_unique<BoundedQueue<MicroBatch>>(
+  batch_q_ = std::make_unique<BoundedQueue<MicroBatch>>(
       static_cast<std::size_t>(policy_.queue_depth));
-  ship_q_ = std::make_unique<BoundedQueue<MicroBatch>>(
-      static_cast<std::size_t>(policy_.queue_depth));
-  compute_q_ = std::make_unique<BoundedQueue<MicroBatch>>(
-      static_cast<std::size_t>(policy_.queue_depth));
-
   for (int w = 0; w < policy_.compute_workers; ++w) {
     sessions_.emplace_back(cfg.backend, /*private_counters=*/true);
   }
-
   batcher_ = std::thread([this] { batcher_loop(); });
-  preparers_.reserve(static_cast<std::size_t>(policy_.prepare_workers));
-  for (int p = 0; p < policy_.prepare_workers; ++p) {
-    preparers_.emplace_back([this] { prepare_loop(); });
-  }
-  shipper_ = std::thread([this] { ship_loop(); });
-  computers_.reserve(static_cast<std::size_t>(policy_.compute_workers));
-  for (int w = 0; w < policy_.compute_workers; ++w) {
-    computers_.emplace_back([this, w] { compute_loop(static_cast<std::size_t>(w)); });
-  }
+  pipeline_ = std::thread([this] { pipeline_loop(); });
   started_ = true;
 }
 
@@ -148,6 +115,8 @@ std::future<ServingResult> ServingEngine::submit(ServingRequest req) {
     // Raced with stop(): push() refuses without consuming the item.
     p.promise.set_exception(std::make_exception_ptr(
         std::runtime_error("ServingEngine stopped during admission")));
+    std::lock_guard lock(stats_mu_);
+    ++stats_.requests_failed;
   }
   return fut;
 }
@@ -162,15 +131,11 @@ void ServingEngine::stop() {
     if (!started_ || stopped_) return;
     stopped_ = true;
   }
-  // Ordered drain: close each queue only after its producers have joined, so
-  // every admitted request still flows through to its promise.
+  // Ordered drain: the batcher flushes the partial batch and then ends the
+  // pipeline's source, so every admitted request still reaches its promise.
   admission_->close();
-  batcher_.join();  // closes prep_q_ after flushing the partial batch
-  for (std::thread& t : preparers_) t.join();
-  ship_q_->close();
-  shipper_.join();
-  compute_q_->close();
-  for (std::thread& t : computers_) t.join();
+  batcher_.join();
+  pipeline_.join();
 }
 
 ServingStats ServingEngine::stats() const {
@@ -221,9 +186,11 @@ void ServingEngine::dispatch(MicroBatch&& batch, bool timed_out) {
   batch_req_hist.record(static_cast<double>(batch.members.size()));
   batch_nodes_hist.record(static_cast<double>(batch.batch.size()));
   double push_blocked = 0.0;
-  const bool pushed = prep_q_->push(std::move(batch), &push_blocked);
-  stall_span("batcher", "stall.push", push_blocked);
-  note_stage(stats_mu_, stats_.batcher_stage, 0.0, push_blocked);
+  const bool pushed = batch_q_->push(std::move(batch), &push_blocked);
+  {
+    std::lock_guard lock(stats_mu_);
+    note_stall(stats_.batcher_stage, "batcher", "stall.push", push_blocked);
+  }
   if (!pushed) {
     fail_batch(batch, std::make_exception_ptr(std::runtime_error(
                           "ServingEngine pipeline shut down mid-dispatch")));
@@ -246,8 +213,11 @@ void ServingEngine::batcher_loop() {
                    {{"nodes", cur_nodes},
                     {"requests", static_cast<i64>(cur.members.size())},
                     {"timed_out", timed_out ? 1 : 0}});
-    note_stage(stats_mu_, stats_.batcher_stage,
-               static_cast<double>(window_ns) * 1e-9, 0.0);
+    {
+      std::lock_guard lock(stats_mu_);
+      stats_.batcher_stage.busy_seconds +=
+          static_cast<double>(window_ns) * 1e-9;
+    }
     dispatch(std::move(cur), timed_out);
     cur = MicroBatch{};
     cur_nodes = 0;
@@ -260,8 +230,10 @@ void ServingEngine::batcher_loop() {
       // blocked time is the batcher's idle stall — no open batch, no work.
       double blocked = 0.0;
       std::optional<Pending> item = admission_->pop(&blocked);
-      stall_span("batcher", "stall.pop", blocked);
-      note_stage(stats_mu_, stats_.batcher_stage, 0.0, blocked);
+      {
+        std::lock_guard lock(stats_mu_);
+        note_stall(stats_.batcher_stage, "batcher", "stall.pop", blocked);
+      }
       if (!item.has_value()) break;
       p = std::move(*item);
     } else {
@@ -298,152 +270,83 @@ void ServingEngine::batcher_loop() {
     }
   }
   flush(/*timed_out=*/false);  // shutdown: the partial batch still completes
-  prep_q_->close();
+  batch_q_->close();
 }
 
-void ServingEngine::prepare_loop() {
-  for (;;) {
-    double blocked = 0.0;
-    std::optional<MicroBatch> mb = prep_q_->pop(&blocked);
-    stall_span("prepare", "stall.pop", blocked);
-    note_stage(stats_mu_, stats_.prepare_stage, 0.0, blocked);
-    if (!mb.has_value()) break;
-    Timer body;
-    try {
-      // The offline prepare path, verbatim: prepare_batch_data +
-      // QgtcModel::prepare_input over the dynamic micro-batch.
-      obs::SpanScope span("prepare", "microbatch",
-                          {{"nodes", mb->batch.size()},
-                           {"requests", static_cast<i64>(mb->members.size())}});
-      mb->bd = engine_->prepare_subgraph(mb->batch, /*build_fp32_csr=*/false,
-                                         &mb->cached);
-      span.arg("cache_hit", mb->cached ? 1 : 0);
-    } catch (...) {
-      note_stage(stats_mu_, stats_.prepare_stage, body.seconds(), 0.0);
-      fail_batch(*mb, std::current_exception());
-      continue;
-    }
-    note_stage(stats_mu_, stats_.prepare_stage, body.seconds(), 0.0);
-    double push_blocked = 0.0;
-    const bool pushed = ship_q_->push(std::move(*mb), &push_blocked);
-    stall_span("prepare", "stall.push", push_blocked);
-    note_stage(stats_mu_, stats_.prepare_stage, 0.0, push_blocked);
-    if (!pushed) {
-      fail_batch(*mb, std::make_exception_ptr(std::runtime_error(
-                          "ServingEngine pipeline shut down mid-prepare")));
-    }
-  }
-}
-
-void ServingEngine::ship_loop() {
+void ServingEngine::pipeline_loop() {
   const bool sparse = engine_->config().mode.sparse_adj();
-  for (;;) {
-    double blocked = 0.0;
-    std::optional<MicroBatch> mb = ship_q_->pop(&blocked);
-    stall_span("ship", "stall.pop", blocked);
-    note_stage(stats_mu_, stats_.ship_stage, 0.0, blocked);
-    if (!mb.has_value()) break;
-    Timer body;
-    try {
-      obs::SpanScope span("ship", "microbatch",
-                          {{"nodes", mb->batch.size()},
-                           {"requests", static_cast<i64>(mb->members.size())}});
-      // A cache hit means the prepared payload is already device-resident:
-      // nothing to pack, nothing on the wire.
-      const transfer::PackedSubgraph packed =
-          mb->cached ? transfer::resident_reuse()
-                     : pack_prepared_batch(*mb->bd, sparse, ring_.next(),
-                                           pcie_);
-      span.arg("bytes", packed.total_bytes);
-      std::lock_guard lock(stats_mu_);
-      stats_.packed_bytes += packed.total_bytes;
-      stats_.wire_seconds += packed.modeled_seconds;
-      if (packed.transfers == 0) ++stats_.resident_reuse_batches;
-      stats_.ship_stage.busy_seconds += body.seconds();
-    } catch (...) {
-      note_stage(stats_mu_, stats_.ship_stage, body.seconds(), 0.0);
-      fail_batch(*mb, std::current_exception());
-      continue;
-    }
-    double push_blocked = 0.0;
-    const bool pushed = compute_q_->push(std::move(*mb), &push_blocked);
-    stall_span("ship", "stall.push", push_blocked);
-    note_stage(stats_mu_, stats_.ship_stage, 0.0, push_blocked);
-    if (!pushed) {
-      fail_batch(*mb, std::make_exception_ptr(std::runtime_error(
-                          "ServingEngine pipeline shut down mid-ship")));
-    }
-  }
-}
-
-void ServingEngine::compute_loop(std::size_t worker) {
-  const bool sparse = engine_->config().mode.sparse_adj();
-  const api::Session& session = sessions_[worker];
   // Client-visible latency distribution, recorded at completion — the
   // `--metrics` dump and the load generator's percentile source.
   obs::Histogram& latency_ms =
       obs::MetricsRegistry::instance().histogram("serving.request_latency_ms");
-  for (;;) {
-    double blocked = 0.0;
-    std::optional<MicroBatch> mb = compute_q_->pop(&blocked);
-    stall_span("compute", "stall.pop", blocked);
-    note_stage(stats_mu_, stats_.compute_stage, 0.0, blocked);
-    if (!mb.has_value()) break;
-    Timer body;
-    try {
-      const QgtcEngine::BatchData& bd = *mb->bd;
-      MatrixI32 logits;
-      {
-        QGTC_SPAN("compute", "microbatch",
-                  {{"nodes", mb->batch.size()},
-                   {"requests", static_cast<i64>(mb->members.size())},
-                   {"worker", static_cast<i64>(worker)}});
-        logits =
-            sparse ? engine_->model().forward_prepared(bd.adj_tiles,
-                                                       bd.x_planes,
-                                                       /*stats=*/nullptr,
-                                                       &session.context())
-                   : engine_->model().forward_prepared(bd.adj, &bd.tile_map,
-                                                       bd.x_planes,
-                                                       /*stats=*/nullptr,
-                                                       &session.context());
-      }
-      const Clock::time_point done = Clock::now();
-      const u64 done_ns = obs::SpanSink::now_ns();
-      for (std::size_t m = 0; m < mb->members.size(); ++m) {
-        Pending& p = mb->members[m];
-        const i64 r0 = mb->batch.part_bounds[m];
-        const i64 r1 = mb->batch.part_bounds[m + 1];
-        ServingResult res;
-        res.nodes = std::move(p.nodes);
-        res.logits = MatrixI32(r1 - r0, logits.cols());
-        for (i64 r = r0; r < r1; ++r) {
-          const auto src = logits.row(r);
-          std::copy(src.begin(), src.end(), res.logits.row(r - r0).begin());
+  StreamEpochConfig pcfg;
+  pcfg.depth = policy_.queue_depth;
+  pcfg.prepare_workers = policy_.prepare_workers;
+  pcfg.compute_workers = policy_.compute_workers;
+  // fail_batch returns, so a stage exception fails one micro-batch and the
+  // run ends only when the batcher closes batch_q_.
+  (void)run_stage_pipeline<MicroBatch>(
+      pcfg, ring_, stats_, stats_mu_,
+      /*source=*/[&](i64, double& blocked) { return batch_q_->pop(&blocked); },
+      /*prepare=*/
+      [&](MicroBatch& mb, i64) {
+        // The offline prepare path, verbatim: prepare_batch_data +
+        // QgtcModel::prepare_input over the dynamic micro-batch.
+        mb.bd = engine_->prepare_subgraph(mb.batch, /*build_fp32_csr=*/false,
+                                          &mb.cached);
+      },
+      /*bytes=*/[](const MicroBatch&) { return i64{0}; },
+      /*ship=*/
+      [&](MicroBatch& mb, i64, transfer::StagingBuffer& slot) {
+        // A cache hit means the prepared payload is already device-resident:
+        // nothing to pack, nothing on the wire.
+        return mb.cached ? transfer::resident_reuse()
+                         : pack_prepared_batch(*mb.bd, sparse, slot, pcie_);
+      },
+      /*compute=*/
+      [&](MicroBatch& mb, i64, int w) {
+        const tcsim::ExecutionContext& ctx =
+            sessions_[static_cast<std::size_t>(w)].context();
+        const QgtcEngine::BatchData& bd = *mb.bd;
+        const MatrixI32 logits =
+            sparse ? engine_->model().forward_prepared(
+                         bd.adj_tiles, bd.x_planes, /*stats=*/nullptr, &ctx)
+                   : engine_->model().forward_prepared(
+                         bd.adj, &bd.tile_map, bd.x_planes, /*stats=*/nullptr,
+                         &ctx);
+        const Clock::time_point done = Clock::now();
+        const u64 done_ns = obs::SpanSink::now_ns();
+        for (std::size_t m = 0; m < mb.members.size(); ++m) {
+          Pending& p = mb.members[m];
+          const i64 r0 = mb.batch.part_bounds[m];
+          const i64 r1 = mb.batch.part_bounds[m + 1];
+          ServingResult res;
+          res.nodes = std::move(p.nodes);
+          res.logits = MatrixI32(r1 - r0, logits.cols());
+          for (i64 r = r0; r < r1; ++r) {
+            const auto src = logits.row(r);
+            std::copy(src.begin(), src.end(), res.logits.row(r - r0).begin());
+          }
+          res.batch_nodes = mb.batch.size();
+          res.batch_requests = static_cast<i64>(mb.members.size());
+          res.timing.queue_seconds = p.queue_seconds;
+          res.timing.total_seconds =
+              std::chrono::duration<double>(done - p.submitted).count();
+          // The request's whole lifecycle — admission through completion —
+          // as one span: the client-latency bar the stage spans decompose.
+          obs::emit_span("request", "lifecycle", p.submit_ns,
+                         done_ns > p.submit_ns ? done_ns - p.submit_ns : 0,
+                         {{"queue_us", static_cast<i64>(p.queue_seconds * 1e6)},
+                          {"batch_nodes", res.batch_nodes},
+                          {"batch_requests", res.batch_requests}});
+          latency_ms.record(res.timing.total_seconds * 1e3);
+          p.promise.set_value(std::move(res));
         }
-        res.batch_nodes = mb->batch.size();
-        res.batch_requests = static_cast<i64>(mb->members.size());
-        res.timing.queue_seconds = p.queue_seconds;
-        res.timing.total_seconds =
-            std::chrono::duration<double>(done - p.submitted).count();
-        // The request's whole lifecycle — admission through completion — as
-        // one span: the client-latency bar the stage spans decompose.
-        obs::emit_span("request", "lifecycle", p.submit_ns,
-                       done_ns > p.submit_ns ? done_ns - p.submit_ns : 0,
-                       {{"queue_us", static_cast<i64>(p.queue_seconds * 1e6)},
-                        {"batch_nodes", res.batch_nodes},
-                        {"batch_requests", res.batch_requests}});
-        latency_ms.record(res.timing.total_seconds * 1e3);
-        p.promise.set_value(std::move(res));
-      }
-      std::lock_guard lock(stats_mu_);
-      stats_.requests_completed += static_cast<i64>(mb->members.size());
-      stats_.compute_stage.busy_seconds += body.seconds();
-    } catch (...) {
-      note_stage(stats_mu_, stats_.compute_stage, body.seconds(), 0.0);
-      fail_batch(*mb, std::current_exception());
-    }
-  }
+        std::lock_guard lock(stats_mu_);
+        stats_.requests_completed += static_cast<i64>(mb.members.size());
+      },
+      /*fail=*/
+      [&](MicroBatch& mb, const std::exception_ptr& e) { fail_batch(mb, e); });
 }
 
 LoadReport run_poisson_load(ServingEngine& serving, const LoadSpec& spec) {

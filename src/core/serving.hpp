@@ -4,9 +4,9 @@
 // fixed offline epochs.
 //
 //   submit() --[admission BoundedQueue]--> batcher (coalesce)
-//       --[BoundedQueue]--> prepare (P workers)
-//       --[BoundedQueue]--> ship (1 worker, StagingRing + PcieModel)
-//       --[BoundedQueue]--> compute (C workers, one api::Session each)
+//       --[BoundedQueue]--> stage pipeline (pipeline.hpp, on one thread):
+//           prepare (P workers) -> ship (StagingRing + PcieModel)
+//           -> compute (OpenMP team of C, one api::Session each)
 //
 // The batcher coalesces admitted requests into *dynamic micro-batches* under
 // a max_batch_nodes / max_batch_requests / max_wait_us policy: each request's
@@ -14,15 +14,15 @@
 // intra-partition-edges-only rule keeps requests independent inside the
 // shared adjacency), so the micro-batch rides the exact offline prepare path
 // (`QgtcEngine::prepare_subgraph` = `prepare_batch_data` +
-// `QgtcModel::prepare_input`) and the streaming pipeline's ship/compute
-// stages. A request served online is therefore bit-identical to the same
-// batch membership run through the offline epoch path — the serving parity
-// test surface.
+// `QgtcModel::prepare_input`) and the same stage pipeline epochs run on,
+// with the batcher's queue as its source. A request served online is
+// therefore bit-identical to the same batch membership run through the
+// offline epoch path — the serving parity test surface.
 //
 // Failure is per-batch, not per-server: a request whose seeds are invalid
 // fails its own future at admission; a micro-batch whose stage throws fails
 // the futures of exactly its member requests and the pipeline keeps serving
-// (see BoundedQueue::reset for the recovered-abort discipline this builds on).
+// (run_stage_pipeline's returning fail callback).
 #pragma once
 
 #include <deque>
@@ -51,12 +51,15 @@ struct ServingPolicy {
   i64 max_wait_us = 200;
   /// Stage staffing (see pipeline.hpp for the GPU analogy: prepare = host
   /// DataLoader threads, ship = copy engine, compute = device streams).
+  /// Compute workers are an OpenMP team, capped by omp_get_max_threads();
+  /// with more than one, kernels run serially inside each worker.
   int prepare_workers = 1;
   int compute_workers = 1;
   /// Admission queue capacity: submit() blocks past this backlog —
   /// open-loop overload turns into queueing delay, not unbounded memory.
   i64 admission_capacity = 256;
-  /// Capacity of each inter-stage micro-batch queue.
+  /// Capacity of the batcher's queue and of each inter-stage micro-batch
+  /// queue.
   int queue_depth = 2;
 };
 
@@ -89,8 +92,14 @@ struct ServingResult {
   RequestTiming timing;
 };
 
-/// Server-lifetime accounting (monotonic; snapshot via stats()).
-struct ServingStats {
+/// Server-lifetime accounting (monotonic; snapshot via stats()). The
+/// StageTotals base is the stage pipeline's: prepare/ship/compute busy vs
+/// stall since server start (busy is the stage body, stall is time blocked
+/// on the batcher's queue or the inter-stage queues — the queue-wait vs
+/// service-time split latency-tail debugging needs), the ship stage's PCIe
+/// transfer accounting (§4.6), and micro-batches whose prepared payload was
+/// a BatchCache hit (zero bytes / transfers, transfer::resident_reuse).
+struct ServingStats : StageTotals {
   i64 requests_admitted = 0;
   i64 requests_completed = 0;
   i64 requests_failed = 0;
@@ -99,12 +108,6 @@ struct ServingStats {
   /// Dispatch-cause split: budget-full vs max_wait timeout flushes.
   i64 dispatches_full = 0;
   i64 dispatches_timeout = 0;
-  /// Transfer accounting charged by the ship stage (PCIe model, §4.6).
-  i64 packed_bytes = 0;
-  double wire_seconds = 0;
-  /// Micro-batches whose prepared payload was a BatchCache hit: the ship
-  /// stage charged zero bytes / zero transfers (transfer::resident_reuse).
-  i64 resident_reuse_batches = 0;
   /// Substrate counters summed over the compute workers' sessions, with
   /// EngineStats' meaning: bmma_ops counts executed tile MMAs, gather_edges
   /// the row-gather aggregation's neighbour code rows, code_macs the code-dot
@@ -113,24 +116,18 @@ struct ServingStats {
   i64 tiles_jumped = 0;
   i64 gather_edges = 0;
   i64 code_macs = 0;
-  /// Per-stage busy-vs-stall decomposition, summed over each stage's workers
-  /// since server start. `batcher.busy` is time spent with an open micro-
-  /// batch (the coalesce window); `batcher.stall` is idle time waiting for
-  /// the first request of a batch plus downstream backpressure on dispatch
-  /// (the prepare queue refusing the push). For prepare/ship/compute, busy is the
-  /// stage body and stall is time blocked on inter-stage queues — exactly
-  /// the queue-wait vs service-time split the latency tail debugging needs.
+  /// `batcher.busy` is time spent with an open micro-batch (the coalesce
+  /// window); `batcher.stall` is idle time waiting for the first request of
+  /// a batch plus downstream backpressure on dispatch (the pipeline's queue
+  /// refusing the push).
   obs::StageBreakdown batcher_stage;
-  obs::StageBreakdown prepare_stage;
-  obs::StageBreakdown ship_stage;
-  obs::StageBreakdown compute_stage;
 };
 
 /// Long-lived serving engine. Construction builds and calibrates the
 /// underlying QgtcEngine (the epoch mode is forced to streaming so no offline
-/// epoch is materialised) and spins up the pipeline threads; stop() drains
-/// and joins them (idempotent, also run by the destructor). submit() is
-/// thread-safe.
+/// epoch is materialised) and starts the batcher and pipeline threads; stop()
+/// drains and joins them (idempotent, also run by the destructor). submit()
+/// is thread-safe.
 class ServingEngine {
  public:
   ServingEngine(const Dataset& dataset, EngineConfig cfg,
@@ -153,8 +150,9 @@ class ServingEngine {
   /// Blocking convenience: submit + get.
   ServingResult infer(ServingRequest req);
 
-  /// Closes admission, flushes every in-flight micro-batch, joins all stage
-  /// threads. Pending requests still complete; new submits fail.
+  /// Closes admission, flushes every in-flight micro-batch, joins the
+  /// batcher and pipeline threads. Pending requests still complete; new
+  /// submits fail.
   void stop();
 
   [[nodiscard]] ServingStats stats() const;
@@ -166,13 +164,13 @@ class ServingEngine {
   struct MicroBatch;
 
   void validate_policy() const;
-  /// Builds queues, sessions and stage threads around the already-constructed
+  /// Builds queues, sessions and threads around the already-constructed
   /// engine_ (shared tail of both constructors).
   void start(const EngineConfig& cfg);
   void batcher_loop();
-  void prepare_loop();
-  void ship_loop();
-  void compute_loop(std::size_t worker);
+  /// The pipeline thread: runs the stage pipeline over the batcher's
+  /// micro-batches until stop() ends the stream.
+  void pipeline_loop();
 
   /// Dispatches `batch` downstream (or fails it if the server is aborting).
   void dispatch(MicroBatch&& batch, bool timed_out);
@@ -184,9 +182,8 @@ class ServingEngine {
   std::unique_ptr<QgtcEngine> engine_;
 
   std::unique_ptr<BoundedQueue<Pending>> admission_;
-  std::unique_ptr<BoundedQueue<MicroBatch>> prep_q_;
-  std::unique_ptr<BoundedQueue<MicroBatch>> ship_q_;
-  std::unique_ptr<BoundedQueue<MicroBatch>> compute_q_;
+  /// Coalesced micro-batches: the stage pipeline's source.
+  std::unique_ptr<BoundedQueue<MicroBatch>> batch_q_;
 
   transfer::StagingRing ring_{2};
   transfer::PcieModel pcie_;
@@ -195,16 +192,14 @@ class ServingEngine {
   /// Session per stream" handle the api redesign introduces.
   std::deque<api::Session> sessions_;
 
+  mutable std::mutex stats_mu_;
+  ServingStats stats_;
+
   std::thread batcher_;
-  std::vector<std::thread> preparers_;
-  std::thread shipper_;
-  std::vector<std::thread> computers_;
+  std::thread pipeline_;
   bool started_ = false;
   bool stopped_ = false;
   std::mutex lifecycle_mu_;
-
-  mutable std::mutex stats_mu_;
-  ServingStats stats_;
 };
 
 /// Open-loop load-generation spec: arrivals are a Poisson process at

@@ -1,5 +1,6 @@
 // Streaming-pipeline tests: bounded-queue semantics, overlap accounting,
-// stream-epoch invariants, shutdown-on-exception safety (ASan-clean), and
+// stream-epoch invariants, shutdown-on-exception safety (ASan-clean), the
+// long-lived run's per-item failure isolation and live totals, and
 // the headline guarantee — streaming and precomputed engines produce
 // bit-identical logits and identical counters for every pipeline depth,
 // backend and adjacency layout.
@@ -38,49 +39,6 @@ TEST(BoundedQueue, AbortDropsPendingItems) {
   q.abort();
   EXPECT_FALSE(q.pop().has_value());  // pending item was dropped
   EXPECT_FALSE(q.push(8));
-}
-
-TEST(BoundedQueue, ResetReopensAfterAbort) {
-  // Regression: a long-lived server must survive an aborted epoch. Before
-  // reset() existed, one abort left the queue returning end-of-stream
-  // forever — a single poisoned batch killed the whole server.
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.push(1));
-  q.abort();
-  EXPECT_FALSE(q.push(2));
-  EXPECT_FALSE(q.pop().has_value());
-
-  q.reset();
-  EXPECT_FALSE(q.closed());
-  EXPECT_TRUE(q.push(3));  // pushes work again
-  EXPECT_TRUE(q.push(4));
-  EXPECT_EQ(q.pop().value(), 3);  // and only post-reset items are visible
-  EXPECT_EQ(q.pop().value(), 4);
-
-  // reset() after a graceful close also drops undrained leftovers.
-  EXPECT_TRUE(q.push(5));
-  q.close();
-  q.reset();
-  int out = 0;
-  EXPECT_EQ(q.pop_for(1000, out), BoundedQueue<int>::PopStatus::kTimeout);
-}
-
-TEST(BoundedQueue, ResetReleasesBlockedProducers) {
-  // A producer parked in push() on a full+open queue must wake when reset()
-  // clears the backlog, not stay wedged against the old capacity.
-  BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.push(1));  // full
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    const bool ok = q.push(2);  // blocks until reset clears the queue
-    pushed.store(ok);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  q.reset();
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.pop().value(), 2);  // item 1 was dropped by reset
 }
 
 TEST(BoundedQueue, PopForTimesOutOnOpenEmptyQueue) {
@@ -245,6 +203,93 @@ TEST(StreamEpoch, PrepareExceptionPropagates) {
         fake_pack, [](const i64&, i64, int) {});
   };
   EXPECT_THROW(run(), std::runtime_error);
+}
+
+// A long-lived run (serving's shape): items come from a blocking source,
+// and a fail callback that returns drops only the item a stage threw on.
+TEST(StagePipeline, BlockingSourceIsolatesFailuresAndTotalsNeverDecrease) {
+  const i64 n = 40;
+  const i64 bad_prepare = 7;
+  const i64 bad_compute = 23;
+  BoundedQueue<i64> feed(2);
+  std::thread producer([&] {
+    for (i64 v = 0; v < n; ++v) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      EXPECT_TRUE(feed.push(i64{v}));
+    }
+    feed.close();
+  });
+
+  StageTotals totals;
+  std::mutex totals_mu;
+  const auto snapshot = [&] {
+    std::lock_guard lock(totals_mu);
+    return totals;
+  };
+  std::atomic<bool> done{false};
+  std::atomic<int> decreases{0};
+  std::atomic<int> reads{0};
+  std::thread reader([&] {
+    StageTotals last;
+    while (!done.load()) {
+      const StageTotals t = snapshot();
+      const auto grew = [](const obs::StageBreakdown& a,
+                           const obs::StageBreakdown& b) {
+        return b.busy_seconds >= a.busy_seconds &&
+               b.stall_seconds >= a.stall_seconds;
+      };
+      const bool ok = grew(last.prepare_stage, t.prepare_stage) &&
+                      grew(last.ship_stage, t.ship_stage) &&
+                      grew(last.compute_stage, t.compute_stage) &&
+                      t.packed_bytes >= last.packed_bytes &&
+                      t.adj_bytes >= last.adj_bytes &&
+                      t.wire_seconds >= last.wire_seconds;
+      decreases.fetch_add(ok ? 0 : 1);
+      reads.fetch_add(1);
+      last = t;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+
+  std::vector<std::atomic<int>> computed(static_cast<std::size_t>(n));
+  std::vector<std::atomic<int>> failed(static_cast<std::size_t>(n));
+  transfer::StagingRing ring(2);
+  EXPECT_NO_THROW(run_stage_pipeline<i64>(
+      small_epoch(0, 1), ring, totals, totals_mu,
+      [&](i64, double& blocked) { return feed.pop(&blocked); },
+      [&](i64& v, i64) {
+        if (v == bad_prepare) throw std::runtime_error("injected prepare");
+      },
+      [](const i64&) { return i64{8}; },
+      [](i64& v, i64, transfer::StagingBuffer& slot) {
+        return fake_pack(v, slot);
+      },
+      [&](i64& v, i64, int) {
+        if (v == bad_compute) throw std::runtime_error("injected compute");
+        computed[static_cast<std::size_t>(v)].fetch_add(1);
+      },
+      [&](i64& v, const std::exception_ptr& e) {
+        EXPECT_THROW(std::rethrow_exception(e), std::runtime_error);
+        failed[static_cast<std::size_t>(v)].fetch_add(1);
+      }));
+  done.store(true);
+  reader.join();
+  feed.close();  // frees the producer if the run ended early
+  producer.join();
+
+  for (i64 v = 0; v < n; ++v) {
+    const bool bad = v == bad_prepare || v == bad_compute;
+    EXPECT_EQ(computed[static_cast<std::size_t>(v)].load(), bad ? 0 : 1) << v;
+    EXPECT_EQ(failed[static_cast<std::size_t>(v)].load(), bad ? 1 : 0) << v;
+  }
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(decreases.load(), 0);
+  const StageTotals t = snapshot();
+  // Everything but the prepare failure shipped; the wait on the source is
+  // the prepare stage's stall.
+  EXPECT_EQ(t.packed_bytes, (n - 1) * static_cast<i64>(sizeof(i64)));
+  EXPECT_GT(t.prepare_stage.stall_seconds, 0.0);
+  EXPECT_GT(t.compute_stage.busy_seconds, 0.0);
 }
 
 // -------------------------------------- streaming-vs-precomputed identity

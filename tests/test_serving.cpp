@@ -245,11 +245,13 @@ TEST(ServingParity, BitIdenticalToOfflineEpochAcrossBackendsAndLayouts) {
 }
 
 // Results must not depend on thread counts: serving runs at 1 and 2 compute
-// workers, with its kernels' OpenMP regions serial and at the process's
-// thread count, each bit for bit against the offline batch computed at one
-// OpenMP thread. omp_set_num_threads binds only the calling thread, and
-// serving's stage threads take the process default, so the serial runs turn
-// every OpenMP level off process-wide instead (max_active_levels 0).
+// workers, each bit for bit against the offline batch computed at one OpenMP
+// thread. With two workers the kernels run serially inside each worker of
+// the pipeline's OpenMP team; with one, at the pipeline thread's thread
+// count. That thread starts from the process defaults, because libgomp keeps
+// omp_set_num_threads and max_active_levels per thread, so the serial runs
+// (max_active_levels 0 on the client's thread) check that a client's OpenMP
+// setting does not reach the results.
 TEST(ServingParity, BitIdenticalAcrossThreadCounts) {
   const Dataset ds = serving_dataset();
   EngineConfig cfg = serving_config();
@@ -395,6 +397,36 @@ TEST(ServingConcurrency, HammeringClientsAndMidFlightStopStayClean) {
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(completed.load() + failed.load(), kClients * kPerClient);
   EXPECT_GT(completed.load(), 0);
+  // Every admitted request ended one way or the other, including those whose
+  // admission push raced with stop().
+  const ServingStats st = serving.stats();
+  EXPECT_EQ(st.requests_admitted, st.requests_completed + st.requests_failed);
+}
+
+// Stage totals are live: perfbench's serving rungs read ServingStats deltas
+// while the server runs. One request per micro-batch and one worker per
+// stage: each stage adds a micro-batch's time before it takes the next, so
+// once the last result is in, the earlier batches' time is in the totals.
+TEST(ServingConcurrency, StageBusyTimeGrowsWhileServing) {
+  const Dataset ds = serving_dataset();
+  ServingPolicy policy;
+  policy.max_batch_requests = 1;
+  ServingEngine serving(ds, serving_config(), policy);
+  (void)serving.infer({{1, 2, 3}, 1, 0});
+  const ServingStats before = serving.stats();
+  std::vector<std::future<ServingResult>> futures;
+  for (i32 s = 0; s < 4; ++s) {
+    futures.push_back(serving.submit({{s * 50}, 1, 0}));
+  }
+  for (auto& f : futures) EXPECT_NO_THROW(f.get());
+  const ServingStats after = serving.stats();
+  EXPECT_GT(after.prepare_stage.busy_seconds,
+            before.prepare_stage.busy_seconds);
+  EXPECT_GT(after.compute_stage.busy_seconds,
+            before.compute_stage.busy_seconds);
+  EXPECT_GT(after.packed_bytes, before.packed_bytes);
+  EXPECT_EQ(after.batches_dispatched, before.batches_dispatched + 4);
+  serving.stop();
 }
 
 // ------------------------------------------------- api::Session parity
