@@ -13,6 +13,7 @@ namespace qgtc {
 using u8 = std::uint8_t;
 using u32 = std::uint32_t;
 using u64 = std::uint64_t;
+using i16 = std::int16_t;
 using i32 = std::int32_t;
 using i64 = std::int64_t;
 

@@ -30,6 +30,7 @@ struct ServingEngine::Pending {
   Clock::time_point submitted{};
   u64 submit_ns = 0;         // trace-clock submit stamp (request span start)
   double queue_seconds = 0;  // stamped at dispatch
+  bool settled = false;      // the promise holds a value or an exception
 };
 
 /// A coalesced micro-batch: member requests + the block-diagonal batch they
@@ -156,9 +157,15 @@ ServingStats ServingEngine::stats() const {
 
 void ServingEngine::fail_batch(MicroBatch& batch,
                                const std::exception_ptr& err) {
-  for (Pending& p : batch.members) p.promise.set_exception(err);
+  i64 failed = 0;
+  for (Pending& p : batch.members) {
+    if (p.settled) continue;  // a second set_* would throw future_error
+    p.promise.set_exception(err);
+    p.settled = true;
+    ++failed;
+  }
   std::lock_guard lock(stats_mu_);
-  stats_.requests_failed += static_cast<i64>(batch.members.size());
+  stats_.requests_failed += failed;
 }
 
 void ServingEngine::dispatch(MicroBatch&& batch, bool timed_out) {
@@ -316,11 +323,15 @@ void ServingEngine::pipeline_loop() {
                          &ctx);
         const Clock::time_point done = Clock::now();
         const u64 done_ns = obs::SpanSink::now_ns();
+        // Every member's result and the completed count are in place before
+        // any promise resolves: a client that has all its results sees them
+        // counted, and a throw here fails the whole batch, no member twice.
+        std::vector<ServingResult> results(mb.members.size());
         for (std::size_t m = 0; m < mb.members.size(); ++m) {
           Pending& p = mb.members[m];
           const i64 r0 = mb.batch.part_bounds[m];
           const i64 r1 = mb.batch.part_bounds[m + 1];
-          ServingResult res;
+          ServingResult& res = results[m];
           res.nodes = std::move(p.nodes);
           res.logits = MatrixI32(r1 - r0, logits.cols());
           for (i64 r = r0; r < r1; ++r) {
@@ -340,10 +351,15 @@ void ServingEngine::pipeline_loop() {
                           {"batch_nodes", res.batch_nodes},
                           {"batch_requests", res.batch_requests}});
           latency_ms.record(res.timing.total_seconds * 1e3);
-          p.promise.set_value(std::move(res));
         }
-        std::lock_guard lock(stats_mu_);
-        stats_.requests_completed += static_cast<i64>(mb.members.size());
+        {
+          std::lock_guard lock(stats_mu_);
+          stats_.requests_completed += static_cast<i64>(mb.members.size());
+        }
+        for (std::size_t m = 0; m < mb.members.size(); ++m) {
+          mb.members[m].promise.set_value(std::move(results[m]));
+          mb.members[m].settled = true;
+        }
       },
       /*fail=*/
       [&](MicroBatch& mb, const std::exception_ptr& e) { fail_batch(mb, e); });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <utility>
 
 #include "baselines/dgl_fp32.hpp"
@@ -30,13 +31,12 @@ BmmOptions stage_options(const GnnConfig& cfg) {
   return opt;
 }
 
-/// The update kernel for an `a_bits` x `w_bits` stage: the code dot where it
-/// is exact and the plane pairs make the tile sweep the dearer of the two.
+/// The update kernel for an `a_bits` x `w_bits` stage: the code dot wherever
+/// it is exact (it beats the tile sweep at every plane-pair count; DESIGN.md,
+/// "Update kernels").
 ReuseMode update_kernel(int a_bits, int w_bits, const BmmOptions& opt) {
-  return code_dot_applies(a_bits, w_bits, opt) &&
-                 a_bits * w_bits >= kCodeDotMinPlanePairs
-             ? ReuseMode::kCodeDot
-             : ReuseMode::kCrossTile;
+  return code_dot_applies(a_bits, w_bits, opt) ? ReuseMode::kCodeDot
+                                               : ReuseMode::kCrossTile;
 }
 
 /// The stage plan's epilogue, in kernel form (fused to-bit paths).
@@ -92,23 +92,11 @@ EpiloguePlan& QgtcModel::plan_of(const Stage& s) {
   return const_cast<EpiloguePlan&>(std::as_const(*this).plan_of(s));
 }
 
-const StackedBitTensor& QgtcModel::weight_of(const Stage& s) const {
+StageWeight QgtcModel::weight_of(const Stage& s) const {
   QGTC_CHECK(s.kind != Stage::kAgg, "aggregation stages have no weights");
-  return (s.kind == Stage::kUpd ? w_planes_
-                                : w2_planes_)[static_cast<std::size_t>(s.layer)];
-}
-
-void QgtcModel::assign_output_forms() {
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    EpiloguePlan& p = plan_of(stages_[i]);
-    if (i + 1 == stages_.size()) {
-      p.out_form = StageOutput::kInt;
-    } else if (p.fused && is_code_kernel(plan_of(stages_[i + 1]).kernel)) {
-      p.out_form = StageOutput::kCodes;
-    } else {
-      p.out_form = StageOutput::kPlanes;
-    }
-  }
+  const auto l = static_cast<std::size_t>(s.layer);
+  return s.kind == Stage::kUpd ? StageWeight(w_planes_[l], &w_codes_[l])
+                               : StageWeight(w2_planes_[l], &w2_codes_[l]);
 }
 
 void QgtcModel::build_plan() {
@@ -128,8 +116,8 @@ void QgtcModel::build_plan() {
       stages_.push_back({Stage::kAgg, l});
     }
   }
-  // Every aggregation consumes codes of at most feat_bits bits (calibration
-  // only ever narrows a stage's planes), so one test covers all of them.
+  // Every stage consumes codes of at most feat_bits bits (calibration only
+  // ever narrows a stage's planes), so the kernels picked here are final.
   const BmmOptions opt = stage_options(cfg_);
   ReuseMode agg_kernel = cfg_.reuse;
   if (agg_kernel == ReuseMode::kRowGather &&
@@ -144,8 +132,6 @@ void QgtcModel::build_plan() {
     ap.fused = up.fused = up2.fused = cfg_.fused_epilogue;
     ap.out_bits = up.out_bits = up2.out_bits = cfg_.feat_bits;
     ap.kernel = agg_kernel;
-    // Weight planes are final here; activations are feat_bits wide until
-    // calibration narrows them and re-picks these kernels.
     up.kernel = update_kernel(cfg_.feat_bits,
                               w_planes_[static_cast<std::size_t>(l)].bits(), opt);
     if (cfg_.gin_mlp) {
@@ -165,7 +151,17 @@ void QgtcModel::build_plan() {
       up.act = last ? tcsim::Activation::kIdentity : cfg_.activation;
     }
   }
-  assign_output_forms();
+  // Each stage hands its output over in the form its consumer reads.
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    EpiloguePlan& p = plan_of(stages_[i]);
+    if (i + 1 == stages_.size()) {
+      p.out_form = StageOutput::kInt;
+    } else if (p.fused && is_code_kernel(plan_of(stages_[i + 1]).kernel)) {
+      p.out_form = StageOutput::kCodes;
+    } else {
+      p.out_form = StageOutput::kPlanes;
+    }
+  }
 }
 
 int QgtcModel::fused_stage_count() const {
@@ -177,6 +173,13 @@ void QgtcModel::quantize_weights() {
   w_qparams_.clear();
   w_planes_.clear();
   w2_planes_.clear();
+  w_codes_.clear();
+  w2_codes_.clear();
+  // The code dot reads W as CodePanels; packing them here, once per layer,
+  // keeps the per-call pack out of every forward.
+  const auto pack = [](const StackedBitTensor& w) {
+    return w.bits() <= 8 ? PackedCodes::pack(w) : PackedCodes{};
+  };
   for (const LayerWeights& lw : fp_weights_) {
     // Weights are quantized once and cached as packed planes (§3.2: W is
     // reused across every subgraph of a layer, so decomposition is
@@ -191,6 +194,7 @@ void QgtcModel::quantize_weights() {
                        : cfg_.weight_bits;
     w_planes_.push_back(StackedBitTensor::decompose(
         q, wb, BitLayout::kColMajorK, PadPolicy::kTile8));
+    w_codes_.push_back(pack(w_planes_.back()));
     if (cfg_.gin_mlp) {
       QGTC_CHECK(!lw.w2.empty(), "gin_mlp requires a second weight matrix");
       const QuantParams qp2 = quant_params_from_data(lw.w2, cfg_.weight_bits);
@@ -201,6 +205,7 @@ void QgtcModel::quantize_weights() {
               : cfg_.weight_bits;
       w2_planes_.push_back(StackedBitTensor::decompose(
           q2, wb2, BitLayout::kColMajorK, PadPolicy::kTile8));
+      w2_codes_.push_back(pack(w2_planes_.back()));
     }
   }
 }
@@ -231,8 +236,7 @@ void QgtcModel::calibrate_impl(const Adj& adj, const MatrixF& x) {
 
   // Each stage runs unfused over planes decomposed from the previous stage's
   // requantized output, in its operand layout: an aggregation consumes X on
-  // the B side (kColMajorK), an update on the A side (kRowMajorK). Update
-  // kernels are re-picked from the operand bits calibration has narrowed.
+  // the B side (kColMajorK), an update on the A side (kRowMajorK).
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const Stage& st = stages_[i];
     EpiloguePlan& plan = plan_of(st);
@@ -244,16 +248,13 @@ void QgtcModel::calibrate_impl(const Adj& adj, const MatrixF& x) {
     } else {
       const auto xp = StackedBitTensor::decompose(
           xq, cur_bits, BitLayout::kRowMajorK, PadPolicy::kTile8);
-      const StackedBitTensor& w = weight_of(st);
-      plan.kernel = update_kernel(cur_bits, w.bits(), opt);
-      acc = bitmm_fused_int(xp, w, {}, opt, plan.kernel);
+      acc = bitmm_fused_int(xp, weight_of(st), {}, opt, plan.kernel);
     }
     if (i + 1 == stages_.size()) break;  // the logits stage
     requant_stage(acc, plan);
     cur_bits = plan.out_bits;
     xq = std::move(acc);
   }
-  assign_output_forms();
   calibrated_ = true;
 }
 
@@ -318,7 +319,8 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
     const Stage& st = stages_[i];
     const EpiloguePlan& p = plan_of(st);
     const bool agg = st.kind == Stage::kAgg;
-    const StackedBitTensor* w = agg ? nullptr : &weight_of(st);
+    const std::optional<StageWeight> w =
+        agg ? std::nullopt : std::optional<StageWeight>(weight_of(st));
     const BmmOptions& o = agg ? agg_opt : opt;
     const std::size_t slot = i % 2;
     if (p.out_form == StageOutput::kInt) {

@@ -38,8 +38,7 @@ enum class StageOutput {
 
 /// Per-stage kernel and epilogue plan (one per aggregate/update stage per
 /// layer). build_plan fills it from the config at construction. Calibration
-/// then sets rshift and out_bits from the observed ranges, re-picks the
-/// update kernels from the narrowed operand bits and re-derives out_form.
+/// then sets rshift and out_bits from the observed ranges.
 /// The same plan drives the fused epilogue and the unfused fallback, so the
 /// two paths are bit-identical by construction.
 struct EpiloguePlan {
@@ -50,8 +49,7 @@ struct EpiloguePlan {
   /// The kernel the stage runs. Aggregation stages: kRowGather when the
   /// config asks for it and row_gather_applies to the stage; otherwise a
   /// tile sweep (the config's tile schedule, kCrossTile by default). Update
-  /// stages: kCodeDot when code_dot_applies to the stage's final operand
-  /// bits and they make at least kCodeDotMinPlanePairs plane pairs;
+  /// stages: kCodeDot when code_dot_applies to the stage's operand bits;
   /// otherwise the tile sweep (kCrossTile).
   ReuseMode kernel = ReuseMode::kCrossTile;
   /// kInt for the logits stage; kCodes when the stage is fused and the next
@@ -63,7 +61,8 @@ class QgtcModel {
  public:
   /// Builds a model with Xavier weights quantized to cfg.weight_bits.
   /// Weight bit-planes are cached in the update-side (kColMajorK) layout —
-  /// the §3.2 observation that W is reused across all subgraphs of a layer.
+  /// the §3.2 observation that W is reused across all subgraphs of a layer —
+  /// and, up to 8 bits, packed once more as the code dot's CodePanels.
   static QgtcModel create(const GnnConfig& cfg, u64 seed);
 
   /// Builds from existing fp32 weights (e.g. QAT-trained).
@@ -142,6 +141,8 @@ class QgtcModel {
   std::vector<QuantParams> w_qparams_;
   std::vector<StackedBitTensor> w_planes_;   // kColMajorK, <= weight_bits planes
   std::vector<StackedBitTensor> w2_planes_;  // second MLP stage (gin_mlp)
+  std::vector<PackedCodes> w_codes_;   // w_planes_ packed for the code dot
+  std::vector<PackedCodes> w2_codes_;  // (empty above 8 weight bits)
   std::vector<EpiloguePlan> agg_plan_;       // per layer
   std::vector<EpiloguePlan> upd_plan_;       // per layer
   std::vector<EpiloguePlan> upd2_plan_;      // per layer, MLP stage 2
@@ -157,8 +158,8 @@ class QgtcModel {
 
   [[nodiscard]] const EpiloguePlan& plan_of(const Stage& s) const;
   [[nodiscard]] EpiloguePlan& plan_of(const Stage& s);
-  /// The weight planes of an update stage.
-  [[nodiscard]] const StackedBitTensor& weight_of(const Stage& s) const;
+  /// The weight operand of an update stage: its planes and packed codes.
+  [[nodiscard]] StageWeight weight_of(const Stage& s) const;
 
   void quantize_weights();
 
@@ -166,10 +167,6 @@ class QgtcModel {
   /// the config (the rewrite pass; rshift/out_bits are completed by
   /// calibrate()).
   void build_plan();
-
-  /// Sets every stage's out_form from its own plan and the next stage's
-  /// kernel.
-  void assign_output_forms();
 
   /// Shared forward/calibration bodies, generic over the adjacency
   /// representation (dense BitMatrix or TileSparseBitMatrix — the aggregate

@@ -263,10 +263,43 @@ inline i32 apply_bn(i32 v, i64 col, const FusedEpilogue& epi) {
   return v;
 }
 
+/// apply_bn over one output row's first n values, in place.
+inline void apply_bn_row(i32* acc, i64 n, const FusedEpilogue& epi) {
+  if (!epi.use_bn) return;
+  for (i64 j = 0; j < n; ++j) acc[j] = apply_bn(acc[j], j, epi);
+}
+
 /// The int path applies the activation but never requantizes (rshift/clamp
 /// stay with the to-bit path), matching the historical epilogue contract.
 constexpr tcsim::EpilogueSpec int_spec(const FusedEpilogue& epi) {
   return tcsim::EpilogueSpec{epi.act, 0, -1};
+}
+
+/// Requantizes acc[0, n) in place through the shared tcsim::apply_epilogue.
+/// The activation is a template argument so the epilogue's switch folds away
+/// and the loop vectorizes.
+template <tcsim::Activation A>
+void requantize_row(i32* acc, i64 n, const tcsim::EpilogueSpec& spec) {
+  const tcsim::EpilogueSpec s{A, spec.rshift, spec.qmax};
+  for (i64 j = 0; j < n; ++j) acc[j] = tcsim::apply_epilogue(acc[j], s);
+}
+
+void requantize_row(i32* acc, i64 n, const tcsim::EpilogueSpec& spec) {
+  using tcsim::Activation;
+  switch (spec.act) {
+    case Activation::kIdentity:
+      requantize_row<Activation::kIdentity>(acc, n, spec);
+      break;
+    case Activation::kRelu:
+      requantize_row<Activation::kRelu>(acc, n, spec);
+      break;
+    case Activation::kRelu6:
+      requantize_row<Activation::kRelu6>(acc, n, spec);
+      break;
+    case Activation::kHardswish:
+      requantize_row<Activation::kHardswish>(acc, n, spec);
+      break;
+  }
 }
 
 /// Stores one finished raw 8x8 tile `q` (row-major) into a row-major i32
@@ -284,6 +317,15 @@ inline void store_int_tile(i32* out, i64 m, i64 n, i64 tm, i64 tn,
       out[(r0 + i) * n + c0 + j] = tcsim::apply_epilogue(v, spec);
     }
   }
+}
+
+/// The row form of store_int_tile: stores one finished raw output row `acc`
+/// (n values; overwritten) to `out` through the BN fold and the int path's
+/// epilogue.
+inline void store_int_row(i32* out, i32* acc, i64 n, const FusedEpilogue& epi) {
+  apply_bn_row(acc, n, epi);
+  requantize_row(acc, n, int_spec(epi));
+  std::memcpy(out, acc, static_cast<std::size_t>(n) * sizeof(i32));
 }
 
 /// Drains one finished accumulator tile into a row-major i32 matrix of
@@ -469,33 +511,6 @@ void row_gather(const Src& src, StageInput x, i64 m, const BmmOptions& opt,
   });
 }
 
-/// Requantizes acc[0, n) in place through the shared tcsim::apply_epilogue.
-/// The activation is a template argument so the epilogue's switch folds away
-/// and the loop vectorizes.
-template <tcsim::Activation A>
-void requantize_row(i32* acc, i64 n, const tcsim::EpilogueSpec& spec) {
-  const tcsim::EpilogueSpec s{A, spec.rshift, spec.qmax};
-  for (i64 j = 0; j < n; ++j) acc[j] = tcsim::apply_epilogue(acc[j], s);
-}
-
-void requantize_row(i32* acc, i64 n, const tcsim::EpilogueSpec& spec) {
-  using tcsim::Activation;
-  switch (spec.act) {
-    case Activation::kIdentity:
-      requantize_row<Activation::kIdentity>(acc, n, spec);
-      break;
-    case Activation::kRelu:
-      requantize_row<Activation::kRelu>(acc, n, spec);
-      break;
-    case Activation::kRelu6:
-      requantize_row<Activation::kRelu6>(acc, n, spec);
-      break;
-    case Activation::kHardswish:
-      requantize_row<Activation::kHardswish>(acc, n, spec);
-      break;
-  }
-}
-
 /// Packs one requantized row of `n` values (each below 2^out_bits <= 256)
 /// into kRowMajorK plane rows: bit b of value j goes to bit j % 8 of
 /// planes[b][j / 8]. Assigns whole bytes; each plane row must hold
@@ -549,6 +564,7 @@ class PlaneLinesA {
   explicit PlaneLinesA(const StackedBitTensor& a)
       : a_(&a), src_(plane_ptrs(a)) {}
 
+  [[nodiscard]] i64 rows() const { return a_->rows(); }
   [[nodiscard]] i64 tiles_m() const { return src_.tiles_m(); }
   [[nodiscard]] i64 stride() const { return src_.padded_k(); }
   i64 survivors(i64 tm, const BmmOptions& opt, std::vector<i64>& list) const {
@@ -575,6 +591,7 @@ class CodeRowsA {
  public:
   explicit CodeRowsA(const CodeMatrix& a) : a_(&a) {}
 
+  [[nodiscard]] i64 rows() const { return a_->rows; }
   [[nodiscard]] i64 tiles_m() const { return ceil_div(a_->rows, kTileM); }
   [[nodiscard]] i64 stride() const { return a_->stride; }
   i64 survivors(i64 tm, const BmmOptions& opt, std::vector<i64>& list) const {
@@ -615,28 +632,64 @@ class CodeRowsA {
   }
 };
 
+/// Packs kColMajorK weight planes (<= 8 bits) as CodePanels into `dst`
+/// (code_panel_elems(w) i16) and returns the view: each plane byte of a
+/// column line spreads into eight codes (as in unpack_line_codes), which
+/// land at their K pair's slot in the column's panel.
+tcsim::CodePanels pack_code_panels(const StackedBitTensor& w, i16* dst) {
+  QGTC_CHECK(w.layout() == BitLayout::kColMajorK && w.bits() <= 8,
+             "code panels pack kColMajorK planes of at most 8 bits");
+  constexpr i64 kCols = tcsim::kCodePanelCols;
+  const i64 kp = w.plane(0).padded_rows();
+  const tcsim::CodePanels view{dst, kp / 2, ceil_div(w.cols(), kCols)};
+  const i64 line_bytes = kp / 8;
+  std::fill(dst, dst + view.panels * kp * kCols, i16{0});
+  const u8* planes[8];
+  for (int b = 0; b < w.bits(); ++b) {
+    planes[b] = reinterpret_cast<const u8*>(w.plane(b).data());
+  }
+  for (i64 j = 0; j < w.cols(); ++j) {
+    i16* col = dst + (j / kCols) * kp * kCols + (j % kCols) * 2;
+    for (i64 at = 0; at < line_bytes; ++at) {
+      u64 v = 0;
+      for (int b = 0; b < w.bits(); ++b) {
+        v |= kSpread[planes[b][j * line_bytes + at]] << b;
+      }
+      for (i64 k = 8 * at; k < 8 * at + 8; ++k, v >>= 8) {
+        col[(k / 2) * 2 * kCols + k % 2] = static_cast<i16>(v & 0xff);
+      }
+    }
+  }
+  return view;
+}
+
+/// i16 elements the CodePanels of kColMajorK planes `w` take.
+i64 code_panel_elems(const StackedBitTensor& w) {
+  return round_up(w.cols(), tcsim::kCodePanelCols) * w.plane(0).padded_rows();
+}
+
 /// Code-dot update: the integer identity behind Algorithm 1 for two
 /// multi-bit operands, sum_{a,b} 2^(a+b) * popcount(A_a & W_b) = sum_k
-/// code_A[k] * code_W[k], executed literally. W's planes are unpacked once
-/// to u8 code lines (calling thread, workspace code slot). Then one parallel
-/// region over groups of kRowBlocksPerWord row blocks takes the group's A
-/// code rows from the A source `a` (PlaneLinesA or CodeRowsA), its survivors
-/// (the same tiles fused_tile_sweep keeps), and runs the backend's
-/// dot_code_tile over each run of consecutive surviving K tiles, clipped to
-/// the logical K `a_cols` (codes past it are zero padding). `drain(tm, tn,
-/// tile)` receives each finished 8x8 tile, row-major raw int32, and may
-/// overwrite it. No tile MMAs execute.
+/// code_A[k] * code_W[k], executed as a register-blocked GEMM over W's
+/// CodePanels `w`. One parallel region over groups of kRowBlocksPerWord row
+/// blocks takes the group's A code rows from the A source `a` (PlaneLinesA
+/// or CodeRowsA). Per row block, its survivors (the same tiles
+/// fused_tile_sweep keeps) make runs of consecutive K tiles, clipped to the
+/// logical K `a_cols` (codes past it are zero padding); the block's codes
+/// in those runs widen to i16 A pairs, and the backend's code_gemm_rows
+/// reduces them against every panel. `drain(tm, rows, acc, stride)`
+/// receives each finished row block: `rows` raw int32 output rows, row i at
+/// acc + i * stride, each holding the panels' columns (only the output's
+/// columns are meaningful), which it may overwrite. Code MACs count W's
+/// `tiles_n` padded 8-column tiles. No tile MMAs execute.
 template <typename ASrc, typename Drain>
-void code_dot_loop(const ASrc& a, i64 a_cols, const StackedBitTensor& w,
-                   const BmmOptions& opt, Drain&& drain) {
+void code_dot_loop(const ASrc& a, i64 a_cols, const tcsim::CodePanels& w,
+                   i64 tiles_n, const BmmOptions& opt, Drain&& drain) {
   const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
   const tcsim::SubstrateBackend& be = ctx.backend();
-  const i64 kp = w.plane(0).padded_rows();
   const i64 tiles_m = a.tiles_m();
-  const i64 tiles_n = w.plane(0).padded_cols() / kTileN;
   const i64 k_end = round_up(a_cols, tcsim::kCodeDotAlign);
-  u8* w_codes = ctx.workspace().code_scratch(w.plane(0).lines() * kp);
-  unpack_line_codes(w, 0, w.plane(0).lines(), w_codes);
+  const i64 width = w.panels * tcsim::kCodePanelCols;
 
   std::vector<std::vector<i64>>& k_lists = ctx.workspace().k_lists(tiles_m);
   parallel_for_dynamic(0, ceil_div(tiles_m, kRowBlocksPerWord), /*chunk=*/1,
@@ -645,48 +698,69 @@ void code_dot_loop(const ASrc& a, i64 a_cols, const StackedBitTensor& w,
     const i64 tm1 = std::min(tiles_m, tm0 + kRowBlocksPerWord);
     const u8* a_codes = a.lines(ctx, tm0, tm1);
     const i64 a_stride = a.stride();
+    tcsim::Workspace& ws = ctx.workspace();
+    i16* pairs = ws.code_pairs(kTileM * k_end);
+    i32* block = ws.code_block(kTileM * width);
+    std::vector<tcsim::KRun>& runs = ws.k_runs();
     tcsim::Counters delta;
     for (i64 tm = tm0; tm < tm1; ++tm) {
       auto& list = k_lists[static_cast<std::size_t>(tm)];
       delta.tiles_jumped += static_cast<u64>(a.survivors(tm, opt, list));
+      const i64 rows = std::min<i64>(kTileM, a.rows() - tm * kTileM);
       const u8* a_blk = a_codes + (tm - tm0) * kTileM * a_stride;
-      for (i64 tn = 0; tn < tiles_n; ++tn) {
-        const u8* w_blk = w_codes + tn * kTileN * kp;
-        alignas(64) i32 tile[kTileM * kTileN] = {};
-        i64 codes = 0;
-        for (std::size_t r = 0; r < list.size();) {
-          // One run of consecutive surviving K tiles is one code range.
-          std::size_t e = r + 1;
-          while (e < list.size() && list[e] == list[e - 1] + 1) ++e;
-          const i64 k0 = list[r] * kTileK;
-          const i64 len = std::min(list[e - 1] * kTileK + kTileK, k_end) - k0;
-          be.dot_code_tile(tile, a_blk + k0, a_stride, w_blk + k0, kp, len);
-          codes += len;
-          r = e;
+      runs.clear();
+      i64 codes = 0;
+      for (std::size_t r = 0; r < list.size();) {
+        // One run of consecutive surviving K tiles is one code range.
+        std::size_t e = r + 1;
+        while (e < list.size() && list[e] == list[e - 1] + 1) ++e;
+        const i64 k0 = list[r] * kTileK;
+        const i64 k1 = std::min(list[e - 1] * kTileK + kTileK, k_end);
+        for (i64 i = 0; i < rows; ++i) {
+          const u8* src = a_blk + i * a_stride;
+          i16* dst = pairs + i * k_end;
+          for (i64 k = k0; k < k1; ++k) dst[k] = src[k];
         }
-        drain(tm, tn, tile);
-        delta.code_macs += static_cast<u64>(kTileM * kTileN * codes);
+        runs.push_back({k0 / 2, k1 / 2});
+        codes += k1 - k0;
+        r = e;
       }
+      be.code_gemm_rows(block, width, pairs, k_end, rows, w, runs.data(),
+                        static_cast<i64>(runs.size()));
+      drain(tm, rows, block, width);
+      delta.code_macs += static_cast<u64>(kTileM * kTileN * tiles_n * codes);
     }
     ctx.note(delta);
   });
 }
 
 /// The code dot over either form of A: code rows read in place, or plane
-/// lines unpacked per work item.
+/// lines unpacked per work item. W's packed codes come with `w`, or are
+/// packed here into the calling thread's code_panels slot.
 template <typename Drain>
-void code_dot(StageInput a, const StackedBitTensor& w, const BmmOptions& opt,
+void code_dot(StageInput a, StageWeight w, const BmmOptions& opt,
               Drain&& drain) {
   QGTC_CHECK(code_dot_applies(a.bits(), w.bits(), opt),
              "the code dot needs zero-tile jumping, the AND combine, operands "
              "of at most 8 bits and the int32 bound (no allow_overflow)");
-  QGTC_CHECK(w.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
-  QGTC_CHECK(pad128(a.cols()) == w.plane(0).padded_rows(),
+  const StackedBitTensor& wp = w.planes();
+  QGTC_CHECK(wp.layout() == BitLayout::kColMajorK, "B planes must be kColMajorK");
+  QGTC_CHECK(pad128(a.cols()) == wp.plane(0).padded_rows(),
              "padded K extents of A and B differ");
+  const tcsim::CodePanels panels =
+      w.codes() != nullptr
+          ? w.codes()->view()
+          : pack_code_panels(wp, resolve_ctx(opt).workspace().code_panels(
+                                     code_panel_elems(wp)));
+  QGTC_CHECK(panels.k_pairs * 2 == wp.plane(0).padded_rows() &&
+                 panels.panels == ceil_div(wp.cols(), tcsim::kCodePanelCols),
+             "packed weight codes do not match the weight planes");
+  const i64 tiles_n = wp.plane(0).padded_cols() / kTileN;
   if (a.codes() != nullptr) {
-    code_dot_loop(CodeRowsA(*a.codes()), a.cols(), w, opt, drain);
+    code_dot_loop(CodeRowsA(*a.codes()), a.cols(), panels, tiles_n, opt, drain);
   } else {
-    code_dot_loop(PlaneLinesA(*a.planes()), a.cols(), w, opt, drain);
+    code_dot_loop(PlaneLinesA(*a.planes()), a.cols(), panels, tiles_n, opt,
+                  drain);
   }
 }
 
@@ -766,23 +840,32 @@ class RequantWriter {
     }
   }
 
-  /// Drains one gathered output row `r` (acc holds its cols values;
+  /// Drains one finished output row `r` (acc holds its cols values;
   /// overwritten). Plane outputs must be kRowMajorK.
   void row(i64 r, i32* acc) const {
-    if (epi_->use_bn) {
-      for (i64 j = 0; j < cols_; ++j) acc[j] = apply_bn(acc[j], j, *epi_);
-    }
-    requantize_row(acc, cols_, spec_);
-    if (planes_ == nullptr) {
-      u8* dst = codes_.row(r);
-      for (i64 j = 0; j < cols_; ++j) dst[j] = static_cast<u8>(acc[j]);
+    requant(acc);
+    store_row(r, acc);
+  }
+
+  /// Drains the finished rows of row block tm (row i at acc + i * stride;
+  /// overwritten), for any output form. kColMajorK planes take the block in
+  /// 8x8 slices through the tile scatter.
+  void block(i64 tm, i32* acc, i64 stride) const {
+    const i64 rh = rows_here(tm);
+    for (i64 i = 0; i < rh; ++i) requant(acc + i * stride);
+    if (planes_ == nullptr || planes_->layout() == BitLayout::kRowMajorK) {
+      for (i64 i = 0; i < rh; ++i) store_row(tm * kTileM + i, acc + i * stride);
       return;
     }
-    u8* rows[8];
-    for (int b = 0; b < planes_->bits(); ++b) {
-      rows[b] = reinterpret_cast<u8*>(planes_->plane(b).row_words(r));
+    for (i64 tn = 0; tn < ceil_div(cols_, kTileN); ++tn) {
+      alignas(64) i32 q[kTileM * kTileN] = {};
+      for (i64 i = 0; i < rh; ++i) {
+        std::memcpy(q + i * kTileN, acc + i * stride + tn * kTileN,
+                    static_cast<std::size_t>(cols_here(tn)) * sizeof(i32));
+      }
+      u32* planes[32];
+      tcsim::scatter_planes(plane_sink(tm, tn, planes), q);
     }
-    pack_row_planes(acc, cols_, rows, planes_->bits());
   }
 
  private:
@@ -793,6 +876,27 @@ class RequantWriter {
   tcsim::EpilogueSpec spec_;
 
   static i32 qmax_of(int bits) { return static_cast<i32>((u32{1} << bits) - 1); }
+
+  /// The BN fold and the shared epilogue over one row's cols values.
+  void requant(i32* acc) const {
+    apply_bn_row(acc, cols_, *epi_);
+    requantize_row(acc, cols_, spec_);
+  }
+
+  /// Stores one requantized row `r` as codes or kRowMajorK plane bits.
+  void store_row(i64 r, const i32* acc) const {
+    if (planes_ == nullptr) {
+      u8* dst = codes_.row(r);
+      const i64 n = cols_;  // a u8 store may alias the members: read once
+      for (i64 j = 0; j < n; ++j) dst[j] = static_cast<u8>(acc[j]);
+      return;
+    }
+    u8* rows[8];
+    for (int b = 0; b < planes_->bits(); ++b) {
+      rows[b] = reinterpret_cast<u8*>(planes_->plane(b).row_words(r));
+    }
+    pack_row_planes(acc, cols_, rows, planes_->bits());
+  }
 
   [[nodiscard]] i64 rows_here(i64 tm) const {
     return std::min<i64>(kTileM, rows_ - tm * kTileM);
@@ -830,7 +934,7 @@ class RequantWriter {
 };
 
 /// Checks shared by the update entry points.
-void check_update(StageInput a, const StackedBitTensor& b, ReuseMode kernel,
+void check_update(StageInput a, StageWeight b, ReuseMode kernel,
                   const BmmOptions& opt) {
   QGTC_CHECK(a.cols() == b.rows(), "update: inner dimensions differ");
   QGTC_CHECK(kernel == ReuseMode::kCrossTile || kernel == ReuseMode::kCodeDot,
@@ -840,16 +944,18 @@ void check_update(StageInput a, const StackedBitTensor& b, ReuseMode kernel,
 
 /// Fused to-bit update body: runs `kernel` and drains every output tile
 /// through `write`. `col_major_out` when `write` fills kColMajorK planes.
-void update_requant(StageInput a, const StackedBitTensor& b,
-                    const RequantWriter& write, bool col_major_out,
-                    const BmmOptions& opt, ReuseMode kernel) {
+void update_requant(StageInput a, StageWeight b, const RequantWriter& write,
+                    bool col_major_out, const BmmOptions& opt,
+                    ReuseMode kernel) {
   const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
   if (kernel == ReuseMode::kCodeDot) {
-    code_dot(a, b, opt, [&](i64 tm, i64 tn, i32* q) { write(tm, tn, q); });
+    code_dot(a, b, opt, [&](i64 tm, i64, i32* acc, i64 stride) {
+      write.block(tm, acc, stride);
+    });
   } else {
     const tcsim::SubstrateBackend& be = ctx.backend();
     fused_tile_sweep(DensePlanesSource(plane_ptrs(a.need_planes("the tile sweep"))),
-                     plane_ptrs(b), opt, col_major_out,
+                     plane_ptrs(b.planes()), opt, col_major_out,
                      [&](i64 tm, i64 tn, const u64* acc) {
                        write(be, tm, tn, acc);
                      });
@@ -860,6 +966,15 @@ void update_requant(StageInput a, const StackedBitTensor& b,
 }
 
 }  // namespace
+
+PackedCodes PackedCodes::pack(const StackedBitTensor& w) {
+  PackedCodes p;
+  p.data.resize(static_cast<std::size_t>(code_panel_elems(w)));
+  const tcsim::CodePanels view = pack_code_panels(w, p.data.data());
+  p.k_pairs = view.k_pairs;
+  p.panels = view.panels;
+  return p;
+}
 
 const StackedBitTensor& StageInput::need_planes(const char* who) const {
   QGTC_CHECK(planes_ != nullptr,
@@ -881,7 +996,7 @@ MatrixI32 bitmm_to_int(const StackedBitTensor& a, const StackedBitTensor& b,
   return slice_logical(padded, a.rows(), b.cols());
 }
 
-MatrixI32 bitmm_fused_int(StageInput a, const StackedBitTensor& b,
+MatrixI32 bitmm_fused_int(StageInput a, StageWeight b,
                           const FusedEpilogue& epi, const BmmOptions& opt,
                           ReuseMode kernel) {
   MatrixI32 out(a.rows(), b.cols());
@@ -889,7 +1004,7 @@ MatrixI32 bitmm_fused_int(StageInput a, const StackedBitTensor& b,
   return out;
 }
 
-void bitmm_fused_int_into(StageInput a, const StackedBitTensor& b,
+void bitmm_fused_int_into(StageInput a, StageWeight b,
                           MatrixI32& out, const FusedEpilogue& epi,
                           const BmmOptions& opt, ReuseMode kernel) {
   check_update(a, b, kernel, opt);
@@ -897,20 +1012,23 @@ void bitmm_fused_int_into(StageInput a, const StackedBitTensor& b,
              "bitmm_fused_int_into: output shape mismatch");
   const i64 m = a.rows(), n = b.cols();
   if (kernel == ReuseMode::kCodeDot) {
-    code_dot(a, b, opt, [&](i64 tm, i64 tn, const i32* q) {
-      store_int_tile(out.data(), m, n, tm, tn, q, epi);
+    code_dot(a, b, opt, [&](i64 tm, i64 rows, i32* acc, i64 stride) {
+      for (i64 i = 0; i < rows; ++i) {
+        store_int_row(out.data() + (tm * kTileM + i) * n, acc + i * stride, n,
+                      epi);
+      }
     });
     return;
   }
   const tcsim::SubstrateBackend& be = resolve_ctx(opt).backend();
   fused_tile_sweep(DensePlanesSource(plane_ptrs(a.need_planes("the tile sweep"))),
-                   plane_ptrs(b), opt, /*col_major_out=*/false,
+                   plane_ptrs(b.planes()), opt, /*col_major_out=*/false,
                    [&](i64 tm, i64 tn, const u64* acc) {
                      drain_int_tile(be, out.data(), m, n, tm, tn, acc, epi);
                    });
 }
 
-StackedBitTensor bitmm_fused_bit(StageInput a, const StackedBitTensor& b,
+StackedBitTensor bitmm_fused_bit(StageInput a, StageWeight b,
                                  int out_bits, const FusedEpilogue& epi,
                                  const BmmOptions& opt, PadPolicy out_pad,
                                  BitLayout out_layout, ReuseMode kernel) {
@@ -923,7 +1041,7 @@ StackedBitTensor bitmm_fused_bit(StageInput a, const StackedBitTensor& b,
   return out;
 }
 
-void bitmm_fused_codes(StageInput a, const StackedBitTensor& b,
+void bitmm_fused_codes(StageInput a, StageWeight b,
                        const CodeMatrix& out, const FusedEpilogue& epi,
                        const BmmOptions& opt, ReuseMode kernel) {
   check_update(a, b, kernel, opt);

@@ -78,7 +78,49 @@ class StageInput {
   const CodeMatrix* codes_ = nullptr;
 };
 
-/// Fused epilogue applied to each finished 8x8 int32 output tile (§4.5).
+/// A weight's u8 codes packed for the code dot's register-blocked GEMM
+/// (tcsim::CodePanels: 16-column panels of i16 K pairs), owned. QgtcModel
+/// packs each layer's W once, when it quantizes the weights.
+struct PackedCodes {
+  AlignedVector<i16> data;
+  i64 k_pairs = 0;
+  i64 panels = 0;
+
+  /// Packs kColMajorK planes of at most 8 bits.
+  [[nodiscard]] static PackedCodes pack(const StackedBitTensor& w);
+  [[nodiscard]] tcsim::CodePanels view() const {
+    return {data.data(), k_pairs, panels};
+  }
+};
+
+/// The weight operand of an update stage: kColMajorK bit planes, plus W's
+/// codes packed for the code dot when the caller keeps them. Without packed
+/// codes the code dot packs the planes per call, into a workspace slot.
+/// Converts implicitly from planes. It points at its operands, which must
+/// outlive it (pass it as a call argument).
+class StageWeight {
+ public:
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  StageWeight(const StackedBitTensor& planes) : planes_(&planes) {}
+  /// `codes` (null, or packed from `planes`) is used when non-empty.
+  StageWeight(const StackedBitTensor& planes, const PackedCodes* codes)
+      : planes_(&planes),
+        codes_(codes != nullptr && !codes->data.empty() ? codes : nullptr) {}
+
+  [[nodiscard]] const StackedBitTensor& planes() const { return *planes_; }
+  /// Null when the caller brought no packed codes.
+  [[nodiscard]] const PackedCodes* codes() const { return codes_; }
+
+  [[nodiscard]] i64 rows() const { return planes_->rows(); }
+  [[nodiscard]] i64 cols() const { return planes_->cols(); }
+  [[nodiscard]] int bits() const { return planes_->bits(); }
+
+ private:
+  const StackedBitTensor* planes_;
+  const PackedCodes* codes_ = nullptr;
+};
+
+/// Fused epilogue applied to each finished int32 output tile or row (§4.5).
 struct FusedEpilogue {
   /// Elementwise activation (identity / relu / relu6 / hardswish) applied in
   /// the requantized domain — see tcsim::apply_epilogue for exact semantics.
@@ -101,11 +143,6 @@ struct FusedEpilogue {
 [[nodiscard]] bool code_dot_applies(int a_bits, int b_bits,
                                     const BmmOptions& opt);
 
-/// Plane pairs (s·t) from which an update stage runs the code dot instead of
-/// the tile sweep: the sweep's cost grows with s·t, the code dot's does not.
-/// DESIGN.md ("Update kernels") has the A/B table behind the constant.
-inline constexpr int kCodeDotMinPlanePairs = 12;
-
 /// bitMM2Int (paper §5): C = A(s-bit) x B(t-bit) with int32 output.
 /// Straightforward Algorithm-1 composition: one shifted BMM pass per
 /// (s, t) bit-plane pair.
@@ -117,8 +154,9 @@ MatrixI32 bitmm_to_int(const StackedBitTensor& a, const StackedBitTensor& b,
 /// before the single store. This is the production path for output layers.
 /// `kernel` is kCrossTile (the tile sweep) or kCodeDot (which needs
 /// code_dot_applies); both are bit-identical and jump the same tiles. A code
-/// operand `a` needs kCodeDot.
-MatrixI32 bitmm_fused_int(StageInput a, const StackedBitTensor& b,
+/// operand `a` needs kCodeDot, which reads `b`'s packed codes when it
+/// carries them.
+MatrixI32 bitmm_fused_int(StageInput a, StageWeight b,
                           const FusedEpilogue& epi = {},
                           const BmmOptions& opt = {},
                           ReuseMode kernel = ReuseMode::kCrossTile);
@@ -127,7 +165,7 @@ MatrixI32 bitmm_fused_int(StageInput a, const StackedBitTensor& b,
 /// (typically the ExecutionContext workspace's int32_scratch — the unfused
 /// fallback path allocates nothing per call). `out` must be a.rows x b.cols;
 /// every element is assigned.
-void bitmm_fused_int_into(StageInput a, const StackedBitTensor& b,
+void bitmm_fused_int_into(StageInput a, StageWeight b,
                           MatrixI32& out, const FusedEpilogue& epi = {},
                           const BmmOptions& opt = {},
                           ReuseMode kernel = ReuseMode::kCrossTile);
@@ -140,7 +178,7 @@ void bitmm_fused_int_into(StageInput a, const StackedBitTensor& b,
 /// kRowMajorK when it becomes the next A operand (GCN hidden layers),
 /// kColMajorK when it becomes the next B operand (GIN update-then-aggregate).
 /// `kernel` as for bitmm_fused_int.
-StackedBitTensor bitmm_fused_bit(StageInput a, const StackedBitTensor& b,
+StackedBitTensor bitmm_fused_bit(StageInput a, StageWeight b,
                                  int out_bits,
                                  const FusedEpilogue& epi = {},
                                  const BmmOptions& opt = {},
@@ -152,7 +190,7 @@ StackedBitTensor bitmm_fused_bit(StageInput a, const StackedBitTensor& b,
 /// output goes to the code matrix `out` (a.rows x b.cols, out.bits <= 8
 /// output bits) instead of bit planes, padding zeroed per CodeMatrix.
 /// `kernel` as for bitmm_fused_int.
-void bitmm_fused_codes(StageInput a, const StackedBitTensor& b,
+void bitmm_fused_codes(StageInput a, StageWeight b,
                        const CodeMatrix& out, const FusedEpilogue& epi = {},
                        const BmmOptions& opt = {},
                        ReuseMode kernel = ReuseMode::kCrossTile);

@@ -1,11 +1,13 @@
 #include "tcsim/backend.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/env.hpp"
 
@@ -16,21 +18,32 @@
 namespace qgtc::tcsim {
 namespace {
 
-/// The code dot's reference inner products (SubstrateBackend's base hook,
-/// and the fallback of vector hooks whose ISA the running CPU lacks).
-void dot_code_tile_ref(i32* acc, const u8* a, i64 a_stride, const u8* b,
-                       i64 b_stride, i64 len) {
-  for (int i = 0; i < kTileM; ++i) {
-    for (int j = 0; j < kTileN; ++j) {
-      const u8* ai = a + i * a_stride;
-      const u8* bj = b + j * b_stride;
-      i32 sum = 0;
-      for (i64 k = 0; k < len; ++k) {
-        sum += static_cast<i32>(ai[k]) * static_cast<i32>(bj[k]);
+/// The code GEMM's reference loop (SubstrateBackend's base hook, and the
+/// fallback of vector hooks whose ISA the running CPU lacks).
+void code_gemm_rows_ref(i32* out, i64 out_stride, const i16* a, i64 a_stride,
+                        i64 rows, const CodePanels& w, const KRun* runs,
+                        i64 n_runs) {
+  for (i64 i = 0; i < rows; ++i) {
+    for (i64 p = 0; p < w.panels; ++p) {
+      i32 sums[kCodePanelCols] = {};
+      for (i64 r = 0; r < n_runs; ++r) {
+        for (i64 k = 2 * runs[r].begin; k < 2 * runs[r].end; ++k) {
+          const i32 av = a[i * a_stride + k];
+          const i16* wk = w.panel(p) + (k / 2) * 2 * kCodePanelCols + k % 2;
+          for (int j = 0; j < kCodePanelCols; ++j) sums[j] += av * wk[2 * j];
+        }
       }
-      acc[i * kTileN + j] += sum;
+      std::memcpy(out + i * out_stride + p * kCodePanelCols, sums,
+                  sizeof(sums));
     }
   }
+}
+
+/// One A pair (two adjacent i16 codes) as the i32 a vector broadcasts.
+inline i32 load_pair(const i16* a) {
+  i32 v;
+  std::memcpy(&v, a, sizeof(v));
+  return v;
 }
 
 // ------------------------------------------------------------------------
@@ -225,12 +238,6 @@ struct Avx512Kernels {
   }
 
 #if defined(__AVX512BW__)
-  /// 32 u8 codes widened to i16.
-  static __m512i widen_codes(const u8* p) {
-    return _mm512_cvtepu8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-  }
-
   /// s + a . b over 16 i16 K-pairs per i32 lane (VNNI vpdpwssd when compiled
   /// in, else vpmaddwd + add; the same exact sums either way).
   static __m512i dot_pairs(__m512i s, __m512i a, __m512i b) {
@@ -241,61 +248,81 @@ struct Avx512Kernels {
 #endif
   }
 
-  /// Lane q of the result is the sum of v[q]'s 16 lanes (v is consumed).
-  /// Each fold adds the even and odd lanes of two vectors into one (x's pair
-  /// sums in the low half, y's in the high half); four rounds of folds leave
-  /// one lane per input vector, in input order.
-  static __m512i reduce16(__m512i (&v)[16]) {
-    const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
-                                           20, 22, 24, 26, 28, 30);
-    const __m512i odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19,
-                                          21, 23, 25, 27, 29, 31);
-    for (int n = 16; n > 1; n /= 2) {
-      for (int i = 0; i < n / 2; ++i) {
-        const __m512i x = v[2 * i], y = v[2 * i + 1];
-        v[i] = _mm512_add_epi32(_mm512_permutex2var_epi32(x, even, y),
-                                _mm512_permutex2var_epi32(x, odd, y));
+  /// R rows x P panels (from panel p0) of i32 accumulators, held in
+  /// registers across every run: per K pair, P panel loads and R broadcast
+  /// A pairs, R * P dot_pairs and no horizontal reduction.
+  template <int R, int P>
+  static void gemm_block(i32* out, i64 out_stride, const i16* a, i64 a_stride,
+                         const CodePanels& w, i64 p0, const KRun* runs,
+                         i64 n_runs) {
+    __m512i acc[R][P];
+    for (auto& row : acc) {
+      for (__m512i& v : row) v = _mm512_setzero_si512();
+    }
+    for (i64 r = 0; r < n_runs; ++r) {
+      for (i64 kk = runs[r].begin; kk < runs[r].end; ++kk) {
+        __m512i wv[P];
+        for (int p = 0; p < P; ++p) {
+          wv[p] = _mm512_loadu_si512(w.panel(p0 + p) + kk * 2 * kCodePanelCols);
+        }
+        for (int i = 0; i < R; ++i) {
+          const __m512i av = _mm512_set1_epi32(load_pair(a + i * a_stride + 2 * kk));
+          for (int p = 0; p < P; ++p) acc[i][p] = dot_pairs(acc[i][p], av, wv[p]);
+        }
       }
     }
-    return v[0];
+    for (int i = 0; i < R; ++i) {
+      for (int p = 0; p < P; ++p) {
+        _mm512_storeu_si512(out + i * out_stride + (p0 + p) * kCodePanelCols,
+                            acc[i][p]);
+      }
+    }
   }
 
-  /// One 4x4 quadrant per pass: 16 i32 accumulators over 32-code chunks,
-  /// four widened B lines held across the four A lines.
-  static void dot_code_tile(i32* acc, const u8* a, i64 a_stride, const u8* b,
-                            i64 b_stride, i64 len) {
+  using GemmBlock = void (*)(i32*, i64, const i16*, i64, const CodePanels&,
+                             i64, const KRun*, i64);
+
+  /// gemm_block<R, P>, or null for the shapes code_gemm_rows never runs
+  /// (more than 16 accumulators).
+  template <int R, int P>
+  static constexpr GemmBlock block_fn() {
+    if constexpr (R * P > 16) {
+      return nullptr;
+    } else {
+      return &gemm_block<R, P>;
+    }
+  }
+
+  template <std::size_t... I>
+  static constexpr std::array<GemmBlock, sizeof...(I)> block_table(
+      std::index_sequence<I...>) {
+    return {block_fn<static_cast<int>(I / 4) + 1, static_cast<int>(I % 4) + 1>()...};
+  }
+
+  /// Up to 4 panels per pass (64 output columns), with 8 rows per pass at
+  /// one or two panels and 4 rows at three or four (at most 16 zmm
+  /// accumulators).
+  static void code_gemm_rows(i32* out, i64 out_stride, const i16* a,
+                             i64 a_stride, i64 rows, const CodePanels& w,
+                             const KRun* runs, i64 n_runs) {
     static const bool ok = __builtin_cpu_supports("avx512bw")
 #if defined(__AVX512VNNI__)
                            && __builtin_cpu_supports("avx512vnni")
 #endif
         ;
     if (!ok) {
-      dot_code_tile_ref(acc, a, a_stride, b, b_stride, len);
+      code_gemm_rows_ref(out, out_stride, a, a_stride, rows, w, runs, n_runs);
       return;
     }
-    for (int i0 = 0; i0 < kTileM; i0 += 4) {
-      for (int j0 = 0; j0 < kTileN; j0 += 4) {
-        __m512i s[16];
-        for (__m512i& v : s) v = _mm512_setzero_si512();
-        for (i64 k = 0; k < len; k += kCodeDotAlign) {
-          __m512i bv[4];
-          for (int j = 0; j < 4; ++j) {
-            bv[j] = widen_codes(b + (j0 + j) * b_stride + k);
-          }
-          for (int i = 0; i < 4; ++i) {
-            const __m512i av = widen_codes(a + (i0 + i) * a_stride + k);
-            for (int j = 0; j < 4; ++j) {
-              s[4 * i + j] = dot_pairs(s[4 * i + j], av, bv[j]);
-            }
-          }
-        }
-        alignas(64) i32 sums[16];
-        _mm512_store_si512(sums, reduce16(s));
-        for (int i = 0; i < 4; ++i) {
-          for (int j = 0; j < 4; ++j) {
-            acc[(i0 + i) * kTileN + j0 + j] += sums[4 * i + j];
-          }
-        }
+    static constexpr auto kBlocks = block_table(std::make_index_sequence<32>{});
+    for (i64 p0 = 0; p0 < w.panels; p0 += 4) {
+      const i64 np = std::min<i64>(4, w.panels - p0);
+      const i64 pass = np <= 2 ? 8 : 4;
+      for (i64 i0 = 0; i0 < rows; i0 += pass) {
+        const i64 nr = std::min(pass, rows - i0);
+        kBlocks[static_cast<std::size_t>((nr - 1) * 4 + np - 1)](
+            out + i0 * out_stride, out_stride, a + i0 * a_stride, a_stride, w,
+            p0, runs, n_runs);
       }
     }
   }
@@ -396,43 +423,49 @@ struct Avx2Kernels {
     }
   }
 
-  /// One 2x4 block per pass (16 ymm registers): eight i32 accumulators over
-  /// 16-code chunks (vpmaddwd on i16 K-pairs), then a hadd tree.
-  static void dot_code_tile(i32* acc, const u8* a, i64 a_stride, const u8* b,
-                            i64 b_stride, i64 len) {
-    const auto widen = [](const u8* p) {
-      return _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-    };
-    for (int i0 = 0; i0 < kTileM; i0 += 2) {
-      for (int j0 = 0; j0 < kTileN; j0 += 4) {
-        __m256i s[8];
-        for (__m256i& v : s) v = _mm256_setzero_si256();
-        for (i64 k = 0; k < len; k += 16) {
-          __m256i bv[4];
-          for (int j = 0; j < 4; ++j) bv[j] = widen(b + (j0 + j) * b_stride + k);
-          for (int i = 0; i < 2; ++i) {
-            const __m256i av = widen(a + (i0 + i) * a_stride + k);
-            for (int j = 0; j < 4; ++j) {
-              s[4 * i + j] = _mm256_add_epi32(s[4 * i + j],
-                                              _mm256_madd_epi16(av, bv[j]));
-            }
-          }
+  /// R rows x one panel (two ymm halves of 8 columns) of i32 accumulators
+  /// across every run: vpmaddwd of each broadcast A pair against the panel.
+  template <int R>
+  static void gemm_panel(i32* out, i64 out_stride, const i16* a, i64 a_stride,
+                         const i16* panel, const KRun* runs, i64 n_runs) {
+    __m256i acc[R][2];
+    for (auto& row : acc) row[0] = row[1] = _mm256_setzero_si256();
+    for (i64 r = 0; r < n_runs; ++r) {
+      for (i64 kk = runs[r].begin; kk < runs[r].end; ++kk) {
+        const i16* wk = panel + kk * 2 * kCodePanelCols;
+        const __m256i w0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wk));
+        const __m256i w1 =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wk + kCodePanelCols));
+        for (int i = 0; i < R; ++i) {
+          const __m256i av = _mm256_set1_epi32(load_pair(a + i * a_stride + 2 * kk));
+          acc[i][0] = _mm256_add_epi32(acc[i][0], _mm256_madd_epi16(av, w0));
+          acc[i][1] = _mm256_add_epi32(acc[i][1], _mm256_madd_epi16(av, w1));
         }
-        // Lane q of r is the sum of s[q]'s eight lanes.
-        const __m256i g0 = _mm256_hadd_epi32(_mm256_hadd_epi32(s[0], s[1]),
-                                             _mm256_hadd_epi32(s[2], s[3]));
-        const __m256i g1 = _mm256_hadd_epi32(_mm256_hadd_epi32(s[4], s[5]),
-                                             _mm256_hadd_epi32(s[6], s[7]));
-        const __m256i r =
-            _mm256_add_epi32(_mm256_permute2x128_si256(g0, g1, 0x20),
-                             _mm256_permute2x128_si256(g0, g1, 0x31));
-        alignas(32) i32 sums[8];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(sums), r);
-        for (int i = 0; i < 2; ++i) {
-          for (int j = 0; j < 4; ++j) {
-            acc[(i0 + i) * kTileN + j0 + j] += sums[4 * i + j];
-          }
+      }
+    }
+    for (int i = 0; i < R; ++i) {
+      for (int h = 0; h < 2; ++h) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i * out_stride + 8 * h),
+                            acc[i][h]);
+      }
+    }
+  }
+
+  /// One panel x 4 rows per pass (8 ymm accumulators). The AVX2 kernels only
+  /// run on CPUs runtime_simd_ok found AVX2 on.
+  static void code_gemm_rows(i32* out, i64 out_stride, const i16* a,
+                             i64 a_stride, i64 rows, const CodePanels& w,
+                             const KRun* runs, i64 n_runs) {
+    for (i64 p = 0; p < w.panels; ++p) {
+      i32* o = out + p * kCodePanelCols;
+      for (i64 i0 = 0; i0 < rows; i0 += 4) {
+        const i16* ai = a + i0 * a_stride;
+        i32* oi = o + i0 * out_stride;
+        switch (std::min<i64>(4, rows - i0)) {
+          case 1: gemm_panel<1>(oi, out_stride, ai, a_stride, w.panel(p), runs, n_runs); break;
+          case 2: gemm_panel<2>(oi, out_stride, ai, a_stride, w.panel(p), runs, n_runs); break;
+          case 3: gemm_panel<3>(oi, out_stride, ai, a_stride, w.panel(p), runs, n_runs); break;
+          default: gemm_panel<4>(oi, out_stride, ai, a_stride, w.panel(p), runs, n_runs); break;
         }
       }
     }
@@ -501,16 +534,20 @@ class BackendImpl final : public SubstrateBackend {
       SubstrateBackend::add_code_rows(acc, codes, stride, width, rows, count);
     }
   }
-  void dot_code_tile(i32* acc, const u8* a, i64 a_stride, const u8* b,
-                     i64 b_stride, i64 len) const override {
-    // The AVX-512 (BW) and AVX2 micro-kernels bring a widened i16 dot
-    // product; the others keep the base loop.
+  void code_gemm_rows(i32* out, i64 out_stride, const i16* a, i64 a_stride,
+                      i64 rows, const CodePanels& w, const KRun* runs,
+                      i64 n_runs) const override {
+    // The AVX-512 (BW) and AVX2 micro-kernels bring a register-blocked
+    // broadcast GEMM; the others keep the base loop.
     if constexpr (requires {
-                    Kernels::dot_code_tile(acc, a, a_stride, b, b_stride, len);
+                    Kernels::code_gemm_rows(out, out_stride, a, a_stride, rows,
+                                            w, runs, n_runs);
                   }) {
-      Kernels::dot_code_tile(acc, a, a_stride, b, b_stride, len);
+      Kernels::code_gemm_rows(out, out_stride, a, a_stride, rows, w, runs,
+                              n_runs);
     } else {
-      SubstrateBackend::dot_code_tile(acc, a, a_stride, b, b_stride, len);
+      SubstrateBackend::code_gemm_rows(out, out_stride, a, a_stride, rows, w,
+                                       runs, n_runs);
     }
   }
 
@@ -617,10 +654,11 @@ void SubstrateBackend::add_code_rows(i32* acc, const u8* codes, i64 stride,
   }
 }
 
-void SubstrateBackend::dot_code_tile(i32* acc, const u8* a, i64 a_stride,
-                                     const u8* b, i64 b_stride,
-                                     i64 len) const {
-  dot_code_tile_ref(acc, a, a_stride, b, b_stride, len);
+void SubstrateBackend::code_gemm_rows(i32* out, i64 out_stride, const i16* a,
+                                      i64 a_stride, i64 rows,
+                                      const CodePanels& w, const KRun* runs,
+                                      i64 n_runs) const {
+  code_gemm_rows_ref(out, out_stride, a, a_stride, rows, w, runs, n_runs);
 }
 
 const SubstrateBackend& backend(BackendKind k) {

@@ -61,9 +61,12 @@ struct EpilogueSpec {
 /// standalone (unfused) requantization pass call this one definition, so the
 /// fused and unfused model paths are bit-identical by construction.
 /// ReLU commutes with the arithmetic shift, so this matches the historical
-/// "activate, then shift, then clamp" order exactly.
+/// "activate, then shift, then clamp" order exactly. The arithmetic stays in
+/// i32 (only hardswish's product widens), so row loops over it vectorize at
+/// full i32 width; shifts of 32 or more leave the sign, as an i64 shift of
+/// the value would.
 [[nodiscard]] constexpr i32 apply_epilogue(i32 v, const EpilogueSpec& spec) {
-  i64 w = static_cast<i64>(v) >> spec.rshift;
+  i32 w = spec.rshift < 32 ? v >> spec.rshift : (v < 0 ? -1 : 0);
   switch (spec.act) {
     case Activation::kIdentity:
       break;
@@ -74,14 +77,13 @@ struct EpilogueSpec {
       w = w < 0 ? 0 : (w > 6 ? 6 : w);
       break;
     case Activation::kHardswish: {
-      i64 g = w + 3;
-      g = g < 0 ? 0 : (g > 6 ? 6 : g);
-      w = (w * g) / 6;
+      const i32 g = w < -3 ? 0 : (w > 3 ? 6 : w + 3);
+      w = static_cast<i32>(static_cast<i64>(w) * g / 6);
       break;
     }
   }
   if (spec.qmax >= 0) w = w < 0 ? 0 : (w > spec.qmax ? spec.qmax : w);
-  return static_cast<i32>(w);
+  return w;
 }
 
 /// Decoded A-operand tile (8 rows x 128 bits) in backend-specific layout.
@@ -146,6 +148,32 @@ inline void scatter_planes(const PlaneSink& s, const i32* q) {
     }
   }
 }
+
+/// Output columns of one code GEMM panel: one 512-bit vector of i32.
+inline constexpr i64 kCodePanelCols = 16;
+
+/// A weight matrix's u8 codes packed for code_gemm_rows: `panels` panels of
+/// kCodePanelCols output columns. Panel p holds, for each K pair kk <
+/// k_pairs, its 16 columns' codes W[2 kk][j] and W[2 kk + 1][j] as adjacent
+/// i16, 64 bytes per K pair: the operand of one vpdpwssd against a
+/// broadcast A pair. Element (p, kk, j, h) sits at
+/// data[((p * k_pairs + kk) * kCodePanelCols + j) * 2 + h]; columns past the
+/// matrix are zero. A non-owning view.
+struct CodePanels {
+  const i16* data = nullptr;
+  i64 k_pairs = 0;
+  i64 panels = 0;
+
+  [[nodiscard]] const i16* panel(i64 p) const {
+    return data + p * k_pairs * 2 * kCodePanelCols;
+  }
+};
+
+/// A run of consecutive K pairs [begin, end) a code GEMM reduces over.
+struct KRun {
+  i64 begin;
+  i64 end;
+};
 
 /// A substrate micro-kernel implementation. Stateless and shared across
 /// threads: all mutable state lives in caller-provided scratch (the
@@ -215,21 +243,24 @@ class SubstrateBackend {
   virtual void add_code_rows(i32* acc, const u8* codes, i64 stride, i64 width,
                              const i32* rows, i64 count) const;
 
-  /// Code-dot hook: acc[i * 8 + j] += sum over k < len of a[i * a_stride + k]
-  /// * b[j * b_stride + k], for i, j < 8 — one 8x8 output tile's inner
-  /// products over unpacked u8 codes (eight K-contiguous lines per operand).
-  /// `len` is a multiple of kCodeDotAlign. Exact int32 arithmetic (callers
-  /// bound the sum), so every override is bit-identical to the base scalar
-  /// loop.
-  virtual void dot_code_tile(i32* acc, const u8* a, i64 a_stride, const u8* b,
-                             i64 b_stride, i64 len) const;
+  /// Code GEMM hook: for i < rows and every column j of `w`'s panels,
+  ///   out[i * out_stride + j] = sum over the runs r, K pairs kk in
+  ///   [r.begin, r.end) and h < 2 of a[i * a_stride + 2 kk + h] * W[2 kk + h][j],
+  /// one row block's exact int32 products over u8 codes widened to i16 (`a`
+  /// holds the block's rows, `a_stride` i16 apart; W comes packed as
+  /// CodePanels). rows <= 8. Assigns w.panels * kCodePanelCols values per
+  /// row. Exact int32 arithmetic (callers bound the sum), so every override
+  /// is bit-identical to the base scalar loop.
+  virtual void code_gemm_rows(i32* out, i64 out_stride, const i16* a,
+                              i64 a_stride, i64 rows, const CodePanels& w,
+                              const KRun* runs, i64 n_runs) const;
 };
 
 /// Column granularity of the row gather's unpacked code rows (and of the
 /// add_code_rows width): one 128-bit load of u8 codes.
 inline constexpr i64 kCodeRowAlign = 16;
 
-/// K granularity of dot_code_tile: 32 u8 codes, one 512-bit vector of i16.
+/// K granularity of the code dot's K runs: 32 u8 codes (16 K pairs).
 inline constexpr i64 kCodeDotAlign = 32;
 
 /// Registry lookup. Instances are process-lifetime singletons; kSimd and

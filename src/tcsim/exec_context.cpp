@@ -1,6 +1,16 @@
 #include "tcsim/exec_context.hpp"
 
 namespace qgtc::tcsim {
+namespace {
+
+/// v's storage, grown to at least n elements (capacity only grows).
+template <typename T>
+T* grown(AlignedVector<T>& v, i64 n) {
+  if (static_cast<i64>(v.size()) < n) v.resize(static_cast<std::size_t>(n));
+  return v.data();
+}
+
+}  // namespace
 
 MatrixI32& Workspace::padded_acc(i64 rows, i64 cols) {
   if (padded_acc_.rows() != rows || padded_acc_.cols() != cols) {
@@ -31,48 +41,40 @@ std::vector<SparseTileRef>& Workspace::tile_refs() {
   return tile_refs_;
 }
 
-u64* Workspace::acc_lanes(i64 lanes) {
-  if (static_cast<i64>(acc_lanes_.size()) < lanes) {
-    acc_lanes_.resize(static_cast<std::size_t>(lanes));
-  }
-  return acc_lanes_.data();
+std::vector<KRun>& Workspace::k_runs() {
+  k_runs_.clear();
+  return k_runs_;
 }
 
-u8* Workspace::code_scratch(i64 bytes) {
-  if (static_cast<i64>(code_scratch_.size()) < bytes) {
-    code_scratch_.resize(static_cast<std::size_t>(bytes));
-  }
-  return code_scratch_.data();
-}
+u64* Workspace::acc_lanes(i64 lanes) { return grown(acc_lanes_, lanes); }
 
-u8* Workspace::row_codes(i64 bytes) {
-  if (static_cast<i64>(row_codes_.size()) < bytes) {
-    row_codes_.resize(static_cast<std::size_t>(bytes));
-  }
-  return row_codes_.data();
-}
+u8* Workspace::code_scratch(i64 bytes) { return grown(code_scratch_, bytes); }
+
+u8* Workspace::row_codes(i64 bytes) { return grown(row_codes_, bytes); }
+
+i16* Workspace::code_panels(i64 elems) { return grown(code_panels_, elems); }
+
+i16* Workspace::code_pairs(i64 elems) { return grown(code_pairs_, elems); }
+
+i32* Workspace::code_block(i64 lanes) { return grown(code_block_, lanes); }
 
 u8* Workspace::code_activation(int slot, i64 bytes) {
   if (static_cast<std::size_t>(slot) >= code_activations_.size()) {
     code_activations_.resize(static_cast<std::size_t>(slot) + 1);
   }
-  AlignedVector<u8>& v = code_activations_[static_cast<std::size_t>(slot)];
-  if (static_cast<i64>(v.size()) < bytes) v.resize(static_cast<std::size_t>(bytes));
-  return v.data();
+  return grown(code_activations_[static_cast<std::size_t>(slot)], bytes);
 }
 
-i32* Workspace::gather_lanes(i64 lanes) {
-  if (static_cast<i64>(gather_lanes_.size()) < lanes) {
-    gather_lanes_.resize(static_cast<std::size_t>(lanes));
-  }
-  return gather_lanes_.data();
-}
+i32* Workspace::gather_lanes(i64 lanes) { return grown(gather_lanes_, lanes); }
 
 std::size_t Workspace::footprint_bytes() const {
   std::size_t b = static_cast<std::size_t>(padded_acc_.size()) * sizeof(i32) +
                   tile_refs_.capacity() * sizeof(SparseTileRef) +
+                  k_runs_.capacity() * sizeof(KRun) +
                   acc_lanes_.size() * sizeof(u64) + code_scratch_.size() +
-                  row_codes_.size() + gather_lanes_.size() * sizeof(i32);
+                  row_codes_.size() + gather_lanes_.size() * sizeof(i32) +
+                  (code_panels_.size() + code_pairs_.size()) * sizeof(i16) +
+                  code_block_.size() * sizeof(i32);
   for (const auto& m : int32_scratch_) {
     b += static_cast<std::size_t>(m.size()) * sizeof(i32);
   }

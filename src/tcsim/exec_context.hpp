@@ -50,19 +50,35 @@ class Workspace {
   /// loops) — the operand of SubstrateBackend::mma_tile_list.
   std::vector<SparseTileRef>& tile_refs();
 
+  /// Cleared K-run list (per row block, inside parallel loops) — the
+  /// operand of SubstrateBackend::code_gemm_rows.
+  std::vector<KRun>& k_runs();
+
   /// Uninitialised, 64-byte-aligned u64 tile-accumulator scratch.
   u64* acc_lanes(i64 lanes);
 
   /// Uninitialised, 64-byte-aligned u8 scratch: the row gather's unpacked
-  /// quantized code rows, or the code dot's unpacked weight codes (one per
-  /// stage, filled by the calling thread and read by the stage's inner
-  /// threads).
+  /// quantized code rows (one per stage, filled by the calling thread and
+  /// read by the stage's inner threads).
   u8* code_scratch(i64 bytes);
+
+  /// Uninitialised, 64-byte-aligned i16 scratch: a weight's CodePanels,
+  /// packed by the calling thread when the code dot's caller brought none
+  /// and read by the stage's inner threads.
+  i16* code_panels(i64 elems);
 
   /// Uninitialised, 64-byte-aligned u8 scratch: the code dot's unpacked
   /// activation codes for the row blocks one worker owns (distinct from
   /// code_scratch, which the calling thread holds while it works too).
   u8* row_codes(i64 bytes);
+
+  /// Uninitialised, 64-byte-aligned i16 scratch: the code dot's A pairs, one
+  /// row block's codes widened for code_gemm_rows (per worker).
+  i16* code_pairs(i64 elems);
+
+  /// Uninitialised, 64-byte-aligned i32 scratch: the code dot's finished row
+  /// block, code_gemm_rows' output and the drain's input (per worker).
+  i32* code_block(i64 lanes);
 
   /// Uninitialised, 64-byte-aligned u8 storage for a stage's output code
   /// matrix (CodeMatrix). Slots ping-pong between consecutive stages of a
@@ -82,9 +98,13 @@ class Workspace {
   std::vector<MatrixI32> int32_scratch_;
   std::vector<std::vector<i64>> k_lists_;
   std::vector<SparseTileRef> tile_refs_;
+  std::vector<KRun> k_runs_;
   AlignedVector<u64> acc_lanes_;
   AlignedVector<u8> code_scratch_;
   AlignedVector<u8> row_codes_;
+  AlignedVector<i16> code_panels_;
+  AlignedVector<i16> code_pairs_;
+  AlignedVector<i32> code_block_;
   std::vector<AlignedVector<u8>> code_activations_;
   AlignedVector<i32> gather_lanes_;
 };

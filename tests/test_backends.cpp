@@ -270,6 +270,170 @@ TEST(ParallelFor, WorkersCoverRangeWithBoundedWorkerIds) {
   }
 }
 
+// ---- code GEMM (the code dot's register-blocked hook) ----
+
+/// Row counts that are not multiples of 4 or 8, and the output widths the
+/// hook's panel passes split differently (1, 3, 4 and 5 panels).
+constexpr i64 kGemmRows[] = {13, 45, 3, 70, 29, 22};
+constexpr i64 kGemmCols[] = {2, 8, 16, 40, 64, 72};
+
+/// `q` (codes below 2^bits) as a code matrix over `storage`.
+CodeMatrix to_codes(const MatrixI32& q, int bits, AlignedVector<u8>& storage) {
+  storage.assign(
+      static_cast<std::size_t>(CodeMatrix::bytes_for(q.rows(), q.cols())), 0);
+  const CodeMatrix c = CodeMatrix::over(storage.data(), q.rows(), q.cols(), bits);
+  for (i64 r = 0; r < q.rows(); ++r) {
+    for (i64 j = 0; j < q.cols(); ++j) c.row(r)[j] = static_cast<u8>(q(r, j));
+  }
+  return c;
+}
+
+TEST(CodeGemm, EveryBackendMatchesTheScalarBaseAndTheCodes) {
+  Rng rng(1717);
+  constexpr i64 kK = 384;  // three 128-code K tiles
+  for (const i64 n : kGemmCols) {
+    const int t = static_cast<int>(rng.next_in(1, 8));
+    const MatrixI32 wq = random_codes(rng, kK, n, t);
+    const auto w = StackedBitTensor::decompose(wq, t, BitLayout::kColMajorK,
+                                               PadPolicy::kTile8);
+    const PackedCodes packed = PackedCodes::pack(w);
+    const tcsim::CodePanels panels = packed.view();
+    ASSERT_EQ(panels.panels, ceil_div(n, tcsim::kCodePanelCols));
+    const i64 width = panels.panels * tcsim::kCodePanelCols;
+    const i64 stride = width + 3;  // lanes past the panels stay untouched
+    // Runs split by a jumped middle tile, and a run clipped mid-tile.
+    const std::vector<tcsim::KRun> runs = {{0, 64}, {128, 176}};
+    for (i64 rows = 1; rows <= kTileM; ++rows) {
+      const int s = static_cast<int>(rng.next_in(1, 8));
+      std::vector<i16> a(static_cast<std::size_t>(kTileM * kK));
+      for (i16& v : a) v = static_cast<i16>(rng.next_below(u64{1} << s));
+      // The exact products over the runs, straight from the codes.
+      std::vector<i32> want(static_cast<std::size_t>(kTileM * stride), -7);
+      for (i64 i = 0; i < rows; ++i) {
+        for (i64 j = 0; j < width; ++j) {
+          i32 sum = 0;
+          for (const tcsim::KRun& r : runs) {
+            for (i64 k = 2 * r.begin; k < 2 * r.end; ++k) {
+              sum += j < n ? a[static_cast<std::size_t>(i * kK + k)] * wq(k, j) : 0;
+            }
+          }
+          want[static_cast<std::size_t>(i * stride + j)] = sum;
+        }
+      }
+      for (const tcsim::BackendKind kind : tcsim::all_backends()) {
+        const tcsim::SubstrateBackend& be = tcsim::backend(kind);
+        std::vector<i32> got(want.size(), -7), base(want.size(), -7);
+        be.code_gemm_rows(got.data(), stride, a.data(), kK, rows, panels,
+                          runs.data(), static_cast<i64>(runs.size()));
+        be.SubstrateBackend::code_gemm_rows(base.data(), stride, a.data(), kK,
+                                            rows, panels, runs.data(),
+                                            static_cast<i64>(runs.size()));
+        EXPECT_EQ(got, want) << be.name() << " n=" << n << " rows=" << rows;
+        EXPECT_EQ(base, want) << "base n=" << n << " rows=" << rows;
+      }
+    }
+  }
+}
+
+/// The code dot against the tile sweep, through every entry point and
+/// output form, on every backend: A has all-zero 8x128 blocks, so its K runs
+/// are split by jumped tiles; operands of 1-8 bits; BN on and off; all four
+/// activations. Outputs and tiles_jumped equal the sweep's, and code_macs
+/// is the same on every backend.
+TEST(CodeGemm, CodeDotMatchesTheTileSweepInEveryOutputForm) {
+  using tcsim::Activation;
+  Rng rng(2718);
+  constexpr i64 kK = 300;
+  for (std::size_t c = 0; c < std::size(kGemmCols); ++c) {
+    const i64 m = kGemmRows[c], n = kGemmCols[c];
+    const int s = static_cast<int>(rng.next_in(1, 8));
+    const int t = 9 - s;
+    MatrixI32 aq = random_codes(rng, m, kK, s);
+    for (i64 r = 0; r < m; ++r) {
+      for (i64 k = 0; k < kK; ++k) {
+        // Zero the middle K tile of every other row block, and the first
+        // K tile of every third.
+        const i64 tm = r / kTileM, tk = k / kTileK;
+        if ((tk == 1 && tm % 2 == 0) || (tk == 0 && tm % 3 == 1)) aq(r, k) = 0;
+      }
+    }
+    const MatrixI32 wq = random_codes(rng, kK, n, t);
+    const auto a = StackedBitTensor::decompose(aq, s, BitLayout::kRowMajorK,
+                                               PadPolicy::kTile8);
+    AlignedVector<u8> a_storage;
+    const CodeMatrix a_codes = to_codes(aq, s, a_storage);
+    const auto w = StackedBitTensor::decompose(wq, t, BitLayout::kColMajorK,
+                                               PadPolicy::kTile8);
+    const PackedCodes w_codes = PackedCodes::pack(w);
+    const int out_bits = static_cast<int>(rng.next_in(1, 8));
+    for (const bool bn : {false, true}) {
+      for (const Activation act : {Activation::kIdentity, Activation::kRelu,
+                                   Activation::kRelu6, Activation::kHardswish}) {
+        FusedEpilogue epi;
+        epi.act = act;
+        epi.rshift = s + t + 1;
+        epi.use_bn = bn;
+        for (i64 j = 0; bn && j < n; ++j) {
+          epi.bn_scale.push_back(rng.next_float(0.5f, 1.5f));
+          epi.bn_bias.push_back(rng.next_float(-200.0f, 50.0f));
+        }
+        const std::string tag = "m=" + std::to_string(m) + " n=" +
+                                std::to_string(n) + " s=" + std::to_string(s) +
+                                " bn=" + std::to_string(bn) + " act=" +
+                                tcsim::activation_name(act);
+        // Every output form as one vector of words, from `kernel` on
+        // `kind`; codes in and packed W for the code dot on odd activations.
+        const auto outputs = [&](tcsim::BackendKind kind, ReuseMode kernel,
+                                 tcsim::Counters& counters) {
+          const tcsim::ExecutionContext ctx(kind);
+          BmmOptions opt;
+          opt.zero_tile_jump = true;
+          opt.ctx = &ctx;
+          const bool dot = kernel == ReuseMode::kCodeDot;
+          const bool alt = dot && static_cast<int>(act) % 2 == 1;
+          const StageInput in = alt ? StageInput(a_codes) : StageInput(a);
+          const StageWeight wt = alt ? StageWeight(w, &w_codes) : StageWeight(w);
+          std::vector<u32> words;
+          const MatrixI32 ints = bitmm_fused_int(in, wt, epi, opt, kernel);
+          words.insert(words.end(), ints.data(), ints.data() + ints.size());
+          for (const BitLayout layout :
+               {BitLayout::kRowMajorK, BitLayout::kColMajorK}) {
+            const StackedBitTensor p = bitmm_fused_bit(
+                in, wt, out_bits, epi, opt, PadPolicy::kTile8, layout, kernel);
+            for (int b = 0; b < p.bits(); ++b) {
+              const BitMatrix& pb = p.plane(b);
+              words.insert(words.end(), pb.data(),
+                           pb.data() + pb.lines() * pb.k_words());
+            }
+          }
+          AlignedVector<u8> out_storage(
+              static_cast<std::size_t>(CodeMatrix::bytes_for(m, n)), u8{0xA5});
+          bitmm_fused_codes(in, wt,
+                            CodeMatrix::over(out_storage.data(), m, n, out_bits),
+                            epi, opt, kernel);
+          words.insert(words.end(), out_storage.begin(), out_storage.end());
+          counters = ctx.counters();
+          return words;
+        };
+        tcsim::Counters sweep_c, base_c;
+        const auto want = outputs(tcsim::BackendKind::kScalar,
+                                  ReuseMode::kCrossTile, sweep_c);
+        (void)outputs(tcsim::BackendKind::kScalar, ReuseMode::kCodeDot, base_c);
+        EXPECT_GT(sweep_c.tiles_jumped, 0u) << tag;
+        for (const tcsim::BackendKind kind : tcsim::all_backends()) {
+          tcsim::Counters dot_c;
+          EXPECT_EQ(outputs(kind, ReuseMode::kCodeDot, dot_c), want)
+              << tag << " on " << tcsim::backend_name(kind);
+          EXPECT_EQ(dot_c.tiles_jumped, sweep_c.tiles_jumped) << tag;
+          EXPECT_EQ(dot_c.code_macs, base_c.code_macs) << tag;
+          EXPECT_GT(dot_c.code_macs, 0u) << tag;
+          EXPECT_EQ(dot_c.bmma_ops, 0u) << tag;
+        }
+      }
+    }
+  }
+}
+
 TEST(Workspace, ArenaReusesStorageAcrossCalls) {
   Rng rng(9);
   const MatrixI32 a = random_binary(rng, 40, 256, 0.4f);

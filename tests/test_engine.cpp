@@ -50,7 +50,7 @@ TEST(Engine, RunQuantizedPopulatesStats) {
   EXPECT_GT(s.forward_seconds, 0.0);
   EXPECT_EQ(s.batches, 4);
   EXPECT_EQ(s.nodes, 2000);
-  EXPECT_GT(s.bmma_ops, 0);
+  EXPECT_GT(s.code_macs, 0);  // 2-bit updates run the code dot
   EXPECT_GT(s.tiles_jumped, 0);  // batching guarantees zero tiles
 }
 

@@ -429,6 +429,29 @@ TEST(ServingConcurrency, StageBusyTimeGrowsWhileServing) {
   serving.stop();
 }
 
+// A micro-batch's bookkeeping is done before any of its promises resolve:
+// once a client holds every result, one stats() read counts them all.
+TEST(ServingConcurrency, CompletedCountIsFinalOnceEveryResultIsIn) {
+  const Dataset ds = serving_dataset();
+  ServingPolicy policy;
+  policy.max_batch_requests = 3;
+  policy.compute_workers = 2;
+  ServingEngine serving(ds, serving_config(), policy);
+  i64 submitted = 0;
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::future<ServingResult>> futures;
+    for (i32 s = 0; s < 7; ++s) {
+      futures.push_back(serving.submit({{s * 40 + round}, 1, 0}));
+    }
+    submitted += static_cast<i64>(futures.size());
+    for (auto& f : futures) EXPECT_NO_THROW(f.get());
+    const ServingStats st = serving.stats();
+    EXPECT_EQ(st.requests_completed, submitted) << "round " << round;
+    EXPECT_EQ(st.requests_failed, 0) << "round " << round;
+  }
+  serving.stop();
+}
+
 // ------------------------------------------------- api::Session parity
 
 TEST(SessionApi, MatchesContextPinnedFreeFunctionsIncludingCounters) {
