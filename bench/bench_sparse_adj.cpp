@@ -3,6 +3,8 @@
 // no slower than the dense flag-jump path while storing and shipping only
 // ~the nonzero-tile ratio of the adjacency bytes (both paths execute the
 // exact same tile schedule — bit-identical logits, identical bmma_ops).
+// Parity gate: exits 1 when the dense and tile-CSR runs disagree on
+// bmma_ops, tiles_jumped or gather_edges (each reported per mode).
 #include "bench_util.hpp"
 
 namespace qgtc::bench {
@@ -12,6 +14,7 @@ struct ModeResult {
   double seconds = 0.0;
   i64 bmma_ops = 0;
   i64 tiles_jumped = 0;
+  i64 gather_edges = 0;
   i64 adj_storage_bytes = 0;  // resident adjacency representation
   i64 adj_shipped_bytes = 0;  // adjacency share of the packed transfer
   double nz_tile_ratio = 0.0;
@@ -33,6 +36,7 @@ ModeResult run_mode(const Dataset& ds, core::EngineConfig cfg, bool sparse,
   r.seconds = stats.forward_seconds;
   r.bmma_ops = stats.bmma_ops;
   r.tiles_jumped = stats.tiles_jumped;
+  r.gather_edges = stats.gather_edges;
   return r;
 }
 
@@ -54,7 +58,8 @@ int run(int argc, char** argv) {
   core::TablePrinter table({"batch", "dense ms", "sparse ms", "speedup",
                             "dense adj MB", "sparse adj MB", "bytes ratio",
                             "shipped dense MB", "shipped sparse MB",
-                            "nz tile ratio"});
+                            "nz tile ratio", "gather edges dense",
+                            "gather edges sparse"});
   bool counters_match = true;
   for (const i64 batch : batch_sizes) {
     core::EngineConfig cfg;
@@ -70,8 +75,10 @@ int run(int argc, char** argv) {
 
     const ModeResult dense = run_mode(ds, cfg, /*sparse=*/false, rounds);
     const ModeResult sparse = run_mode(ds, cfg, /*sparse=*/true, rounds);
-    counters_match = counters_match && dense.bmma_ops == sparse.bmma_ops &&
-                     dense.tiles_jumped == sparse.tiles_jumped;
+    const bool match = dense.bmma_ops == sparse.bmma_ops &&
+                       dense.tiles_jumped == sparse.tiles_jumped &&
+                       dense.gather_edges == sparse.gather_edges;
+    counters_match = counters_match && match;
 
     const double nz = sparse.nz_tile_ratio;
     const double bytes_ratio = static_cast<double>(sparse.adj_storage_bytes) /
@@ -83,7 +90,9 @@ int run(int argc, char** argv) {
                    core::TablePrinter::fmt_pct(bytes_ratio, 1),
                    core::TablePrinter::fmt(dense.adj_shipped_bytes / 1e6, 2),
                    core::TablePrinter::fmt(sparse.adj_shipped_bytes / 1e6, 2),
-                   core::TablePrinter::fmt_pct(nz, 1)});
+                   core::TablePrinter::fmt_pct(nz, 1),
+                   std::to_string(dense.gather_edges),
+                   std::to_string(sparse.gather_edges)});
     json.add_row(
         {},
         {{"batch_size", static_cast<double>(batch)},
@@ -96,15 +105,23 @@ int run(int argc, char** argv) {
          {"dense_shipped_bytes", static_cast<double>(dense.adj_shipped_bytes)},
          {"sparse_shipped_bytes", static_cast<double>(sparse.adj_shipped_bytes)},
          {"nonzero_tile_ratio", nz},
-         {"bmma_ops_match", dense.bmma_ops == sparse.bmma_ops ? 1.0 : 0.0}});
+         {"dense_bmma_ops", static_cast<double>(dense.bmma_ops)},
+         {"sparse_bmma_ops", static_cast<double>(sparse.bmma_ops)},
+         {"dense_tiles_jumped", static_cast<double>(dense.tiles_jumped)},
+         {"sparse_tiles_jumped", static_cast<double>(sparse.tiles_jumped)},
+         {"dense_gather_edges", static_cast<double>(dense.gather_edges)},
+         {"sparse_gather_edges", static_cast<double>(sparse.gather_edges)},
+         {"bmma_ops_match", dense.bmma_ops == sparse.bmma_ops ? 1.0 : 0.0},
+         {"counters_match", match ? 1.0 : 0.0}});
     std::cerr << "  [done] batch " << batch << "\n";
   }
   table.print(std::cout);
   std::cout << (counters_match
-                    ? "\nSchedule parity: bmma_ops and tiles_jumped identical "
-                      "between flag-based and structural jumping.\n"
-                    : "\nWARNING: counter mismatch between dense and sparse "
-                      "schedules!\n");
+                    ? "\nSchedule parity: bmma_ops, tiles_jumped and "
+                      "gather_edges identical between flag-based and "
+                      "structural jumping.\n"
+                    : "\nCOUNTER MISMATCH: the dense and tile-CSR runs "
+                      "disagree on bmma_ops, tiles_jumped or gather_edges\n");
   return counters_match ? 0 : 1;
 }
 

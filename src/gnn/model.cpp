@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "baselines/dgl_fp32.hpp"
+#include "obs/trace.hpp"
 
 namespace qgtc::gnn {
 
@@ -303,6 +304,18 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
   const i64 nodes = adj.rows();
   tcsim::Workspace& ws = exec.workspace();
 
+  // Every row gather of the pass reads one neighbour list of `adj`,
+  // expanded here once instead of once per layer.
+  NeighbourList neighbours;
+  if (std::any_of(stages_.begin(), stages_.end(), [&](const Stage& s) {
+        return s.kind == Stage::kAgg &&
+               plan_of(s).kernel == ReuseMode::kRowGather;
+      })) {
+    QGTC_SPAN("gnn", "expand_neighbours", {{"rows", nodes}});
+    neighbours = expand_neighbours(adj, agg_opt);
+    agg_opt.neighbours = &neighbours;
+  }
+
   // `cur` is the activation between stages, in the form the producing
   // stage's plan chose: planes, or a code matrix for a code-kernel consumer.
   // A fused stage requantizes inside its kernel's drain (§4.5); an unfused
@@ -323,12 +336,16 @@ MatrixI32 QgtcModel::forward_impl(const Adj& adj, const TileMap* tile_map,
         agg ? std::nullopt : std::optional<StageWeight>(weight_of(st));
     const BmmOptions& o = agg ? agg_opt : opt;
     const std::size_t slot = i % 2;
+    const i64 cols = agg ? cur.cols() : w->cols();
+    QGTC_SPAN("gnn", agg ? "aggregate" : "update",
+              {{"stage", static_cast<i64>(i)},
+               {"kernel", static_cast<i64>(p.kernel)},
+               {"cols", cols}});
     if (p.out_form == StageOutput::kInt) {
       logits = agg ? aggregate_1bit(adj, cur, p.kernel, o)
                    : bitmm_fused_int(cur, *w, {}, o, p.kernel);
       break;
     }
-    const i64 cols = agg ? cur.cols() : w->cols();
     if (p.out_form == StageOutput::kCodes) {
       codes[slot] = CodeMatrix::over(
           ws.code_activation(static_cast<int>(slot),

@@ -1,6 +1,6 @@
 #include "kernels/anybit_mm.hpp"
 
-#include <array>
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -354,74 +354,15 @@ void note_int32_avoided(const tcsim::ExecutionContext& ctx, i64 m, i64 n) {
   ctx.note(avoided);
 }
 
-/// kSpread[v] holds bit i of v in the low bit of byte i.
-constexpr std::array<u64, 256> kSpread = [] {
-  std::array<u64, 256> t{};
-  for (int v = 0; v < 256; ++v) {
-    for (int i = 0; i < 8; ++i) {
-      t[static_cast<std::size_t>(v)] |= static_cast<u64>((v >> i) & 1) << (8 * i);
-    }
-  }
-  return t;
-}();
-
-/// In-place transpose of an 8x8 byte matrix held as eight u64 rows (byte j
-/// of r[i] is element (i, j)): three rounds of block swaps.
-inline void transpose8x8_bytes(u64 (&r)[8]) {
-  const auto swap_blocks = [&](int dist, int bits, u64 mask) {
-    for (int i = 0; i < 8; ++i) {
-      if ((i & dist) != 0) continue;
-      const u64 t = ((r[i] >> bits) ^ r[i + dist]) & mask;
-      r[i + dist] ^= t;
-      r[i] ^= t << bits;
-    }
-  };
-  swap_blocks(1, 8, 0x00FF00FF00FF00FFull);
-  swap_blocks(2, 16, 0x0000FFFF0000FFFFull);
-  swap_blocks(4, 32, 0x00000000FFFFFFFFull);
-}
-
 static_assert(kCodeAlign == tcsim::kCodeDotAlign &&
                   kCodeAlign % tcsim::kCodeRowAlign == 0 &&
                   kCodeAlign == kRowBlocksPerWord * kTileM,
               "a code matrix's padding must cover the code kernels' reads");
 
-/// Unpacks kColMajorK bit planes (<= 8) into the code matrix `out` of the
-/// planes' logical extent, so K lines become code rows: out(v, j) = sum_b
-/// 2^b * x_b[v][j]. Works on 8 rows x 8 columns at a time: one byte per
-/// plane per column spreads into eight code bytes, then an 8x8 byte
-/// transpose makes them row-major. Writes every byte of out's padded extent
-/// (the planes' padding is zero).
-void unpack_codes(const StackedBitTensor& x, const CodeMatrix& out) {
-  const int bits = x.bits();
-  const i64 col_bytes = x.plane(0).k_words() * static_cast<i64>(sizeof(u32));
-  const i64 cols8 = pad8(x.cols());
-  const u8* planes[8];
-  for (int b = 0; b < bits; ++b) {
-    planes[b] = reinterpret_cast<const u8*>(x.plane(b).data());
-  }
-  for (i64 g = 0; g < out.padded_rows() / 8; ++g) {
-    u8* dst = out.row(g * 8);
-    for (i64 c0 = 0; c0 < cols8; c0 += 8) {
-      u64 r[8];
-      for (int c = 0; c < 8; ++c) {
-        const i64 at = (c0 + c) * col_bytes + g;
-        u64 v = 0;
-        for (int b = 0; b < bits; ++b) v |= kSpread[planes[b][at]] << b;
-        r[c] = v;
-      }
-      transpose8x8_bytes(r);
-      for (int i = 0; i < 8; ++i) std::memcpy(dst + i * out.stride + c0, &r[i], 8);
-    }
-    for (int i = 0; i < 8; ++i) {
-      std::memset(dst + i * out.stride + cols8, 0,
-                  static_cast<std::size_t>(out.stride - cols8));
-    }
-  }
-}
-
 /// An aggregation operand in code form: a code matrix read in place, or
-/// kColMajorK bit planes unpacked into the calling thread's code slot.
+/// kColMajorK bit planes unpacked (the backend's unpack_codes hook) into the
+/// calling thread's code slot. The unpack writes every byte of the codes'
+/// padded extent (the planes' padding is zero).
 CodeMatrix codes_of(StageInput x, const tcsim::ExecutionContext& ctx) {
   if (x.codes() != nullptr) return *x.codes();
   const StackedBitTensor& p = *x.planes();
@@ -429,83 +370,112 @@ CodeMatrix codes_of(StageInput x, const tcsim::ExecutionContext& ctx) {
   const CodeMatrix codes = CodeMatrix::over(
       ctx.workspace().code_scratch(CodeMatrix::bytes_for(p.rows(), p.cols())),
       p.rows(), p.cols(), p.bits());
-  unpack_codes(p, codes);
+  const u8* planes[8];
+  for (int b = 0; b < p.bits(); ++b) {
+    planes[b] = reinterpret_cast<const u8*>(p.plane(b).data());
+  }
+  const i64 cols8 = pad8(p.cols());
+  ctx.backend().unpack_codes(codes.data, codes.stride, planes, p.bits(),
+                             p.plane(0).k_words() * static_cast<i64>(sizeof(u32)),
+                             codes.padded_rows(), cols8);
+  for (i64 r = 0; r < codes.padded_rows(); ++r) {
+    std::memset(codes.row(r) + cols8, 0,
+                static_cast<std::size_t>(codes.stride - cols8));
+  }
   return codes;
 }
 
-/// Entries set_bit_positions may write past the positions it reports.
-constexpr i64 kWalkSlack = 4;
-
-/// Writes base + (index of each set bit of `bits`), ascending, to `out` and
-/// returns how many there are. The first four writes are unconditional (the
-/// stored adjacency tiles hold a few bits per 64-bit word), so most words
-/// cost no data-dependent branch; up to kWalkSlack entries past the count
-/// are scratch.
-inline i64 set_bit_positions(u64 bits, i32 base, i32* out) {
-  const int count = std::popcount(bits);
-  for (int k = 0; k < 4; ++k) {
-    out[k] = base + std::countr_zero(bits);
-    bits &= bits - 1;
-  }
-  for (int k = 4; k < count; ++k) {
-    out[k] = base + std::countr_zero(bits);
-    bits &= bits - 1;
-  }
-  return count;
+/// Rows of row block tm that lie inside an m-row matrix (0 for padding
+/// blocks).
+i64 block_rows(i64 tm, i64 m) {
+  return std::clamp<i64>(m - tm * kTileM, 0, kTileM);
 }
 
-/// Row-gather aggregation: the integer identity behind Algorithm 1,
-/// sum_b 2^b * popcount(A_row & X_b) = sum over set bits v of A_row of
-/// code(X[v]), executed literally. X comes as codes (read in place) or as
-/// planes, unpacked once to codes on the calling thread (codes_of). One
-/// parallel region over row blocks then walks the set bits of each surviving
-/// A tile (the same tile source and survivors() call as fused_tile_sweep, so
-/// tiles_jumped matches) and adds the neighbours' code rows into an int32
-/// row through the backend's add_code_rows hook. `drain(row, acc)` receives
-/// each finished output row (acc holds round_up(n, kCodeRowAlign) lanes; only
-/// the first n are meaningful) and may overwrite it. No tile MMAs execute.
-template <typename Src, typename Drain>
-void row_gather(const Src& src, StageInput x, i64 m, const BmmOptions& opt,
-                Drain&& drain) {
-  QGTC_CHECK(row_gather_applies(x.bits(), opt),
-             "row gather needs zero-tile jumping, the AND combine, codes of "
-             "at most 8 bits and the int32 bound (no allow_overflow)");
-  QGTC_CHECK(src.padded_k() == pad128(x.rows()),
-             "padded K extents of A and B differ");
-
+/// expand_neighbours over any A-side tile source (the same survivors() and
+/// tile_ptr() the tile sweep reads, so the jump counts match it). Pass one
+/// collects each row block's survivors and counts each row's set bits; a
+/// prefix sum makes the counts offsets; pass two writes the ids through the
+/// backend's expand_bits hook, in the order the tiles and bits come.
+template <typename Src>
+NeighbourList expand_neighbours(const Src& src, i64 m, const void* adj,
+                                const BmmOptions& opt) {
   const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
   const tcsim::SubstrateBackend& be = ctx.backend();
-  const CodeMatrix codes = codes_of(x, ctx);
-  const i64 width = round_up(codes.cols, tcsim::kCodeRowAlign);
-
-  const i64 tiles_m = src.tiles_m();
-  std::vector<std::vector<i64>>& k_lists = ctx.workspace().k_lists(tiles_m);
-  parallel_for_dynamic(0, tiles_m, /*chunk=*/1, [&](i64 tm) {
+  tcsim::Workspace& ws = ctx.workspace();
+  const i64 blocks = src.tiles_m();
+  i64* offsets = ws.neighbour_index(m + 1 + blocks);
+  i64* jumped = offsets + m + 1;
+  std::vector<std::vector<i64>>& k_lists = ws.k_lists(blocks);
+  parallel_for_dynamic(0, blocks, /*chunk=*/1, [&](i64 tm) {
     auto& list = k_lists[static_cast<std::size_t>(tm)];
     list.reserve(static_cast<std::size_t>(src.survivor_bound(tm)));
-    tcsim::Counters delta;
-    delta.tiles_jumped = static_cast<u64>(src.survivors(tm, opt, list));
-    // Accumulator row, then room for one row's neighbours across the list
-    // (plus the walk's unconditional-write slack).
-    i32* acc = ctx.workspace().gather_lanes(
-        width + static_cast<i64>(list.size()) * kTileK + kWalkSlack);
-    i32* nbrs = acc + width;
-    const i64 rows_here = std::min<i64>(kTileM, m - tm * kTileM);
-    for (i64 i = 0; i < rows_here; ++i) {
+    jumped[tm] = src.survivors(tm, opt, list);
+    for (i64 i = 0; i < block_rows(tm, m); ++i) {
       i64 count = 0;
+      for (const i64 h : list) {
+        const u32* words = src.tile_ptr(0, tm, h) + i * src.tile_stride(0);
+        for (i64 w = 0; w < kTileKWords; ++w) count += std::popcount(words[w]);
+      }
+      offsets[tm * kTileM + i + 1] = count;
+    }
+  });
+  offsets[0] = 0;
+  for (i64 r = 0; r < m; ++r) offsets[r + 1] += offsets[r];
+  i32* ids = ws.neighbour_ids(offsets[m]);
+  parallel_for_dynamic(0, blocks, /*chunk=*/1, [&](i64 tm) {
+    const auto& list = k_lists[static_cast<std::size_t>(tm)];
+    for (i64 i = 0; i < block_rows(tm, m); ++i) {
+      i32* out = ids + offsets[tm * kTileM + i];
       for (const i64 h : list) {
         const u32* words = src.tile_ptr(0, tm, h) + i * src.tile_stride(0);
         const i32 base = static_cast<i32>(src.tile_col(h) * kTileK);
         for (int half = 0; half < 2; ++half) {
           u64 bits;
           std::memcpy(&bits, words + 2 * half, sizeof(bits));
-          count += set_bit_positions(bits, base + 64 * half, nbrs + count);
+          out += be.expand_bits(bits, base + 64 * half, out);
         }
       }
-      std::memset(acc, 0, static_cast<std::size_t>(width) * sizeof(i32));
-      be.add_code_rows(acc, codes.data, codes.stride, width, nbrs, count);
-      drain(tm * kTileM + i, acc);
-      delta.gather_edges += static_cast<u64>(count);
+    }
+  });
+  return {offsets, ids, jumped, m, blocks, adj};
+}
+
+/// Row-gather aggregation: the integer identity behind Algorithm 1,
+/// sum_b 2^b * popcount(A_row & X_b) = sum over set bits v of A_row of
+/// code(X[v]), executed literally over the adjacency's neighbour list `nl`.
+/// X comes as codes (read in place) or as planes, unpacked once to codes on
+/// the calling thread (codes_of). One parallel region over row blocks adds
+/// each row's neighbours' code rows into an int32 row of the block through
+/// the backend's add_code_rows hook; `drain(tm, rows, acc, stride)` receives
+/// each finished block of `rows` rows (row i at acc + i * stride, of which
+/// the first n = x.cols lanes are meaningful) and may overwrite it. Every
+/// call counts the list's jumped tiles and edges. No tile MMAs execute.
+template <typename Drain>
+void row_gather(const NeighbourList& nl, StageInput x, const BmmOptions& opt,
+                Drain&& drain) {
+  QGTC_CHECK(row_gather_applies(x.bits(), opt),
+             "row gather needs zero-tile jumping, the AND combine, codes of "
+             "at most 8 bits and the int32 bound (no allow_overflow)");
+  const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
+  const tcsim::SubstrateBackend& be = ctx.backend();
+  const CodeMatrix codes = codes_of(x, ctx);
+  const i64 width = round_up(codes.cols, tcsim::kCodeRowAlign);
+  parallel_for_dynamic(0, nl.blocks, /*chunk=*/1, [&](i64 tm) {
+    const i64 r0 = tm * kTileM;
+    const i64 rows = block_rows(tm, nl.rows);
+    tcsim::Counters delta;
+    delta.tiles_jumped = static_cast<u64>(nl.jumped[tm]);
+    if (rows > 0) {
+      i32* acc = ctx.workspace().gather_lanes(kTileM * width);
+      std::memset(acc, 0, static_cast<std::size_t>(rows * width) * sizeof(i32));
+      for (i64 i = 0; i < rows; ++i) {
+        const i64 begin = nl.offsets[r0 + i];
+        be.add_code_rows(acc + i * width, codes.data, codes.stride, width,
+                         nl.ids + begin, nl.offsets[r0 + i + 1] - begin);
+      }
+      drain(tm, rows, acc, width);
+      delta.gather_edges =
+          static_cast<u64>(nl.offsets[r0 + rows] - nl.offsets[r0]);
     }
     ctx.note(delta);
   });
@@ -551,7 +521,7 @@ void unpack_line_codes(const StackedBitTensor& x, i64 line0, i64 count,
   }
   for (i64 at = 0; at < count * line_bytes; ++at) {
     u64 v = 0;
-    for (int b = 0; b < bits; ++b) v |= kSpread[planes[b][at]] << b;
+    for (int b = 0; b < bits; ++b) v |= tcsim::kByteSpread[planes[b][at]] << b;
     std::memcpy(codes + 8 * at, &v, sizeof(v));
   }
 }
@@ -653,7 +623,7 @@ tcsim::CodePanels pack_code_panels(const StackedBitTensor& w, i16* dst) {
     for (i64 at = 0; at < line_bytes; ++at) {
       u64 v = 0;
       for (int b = 0; b < w.bits(); ++b) {
-        v |= kSpread[planes[b][j * line_bytes + at]] << b;
+        v |= tcsim::kByteSpread[planes[b][j * line_bytes + at]] << b;
       }
       for (i64 k = 8 * at; k < 8 * at + 8; ++k, v >>= 8) {
         col[(k / 2) * 2 * kCols + k % 2] = static_cast<i16>(v & 0xff);
@@ -680,11 +650,12 @@ i64 code_panel_elems(const StackedBitTensor& w) {
 /// reduces them against every panel. `drain(tm, rows, acc, stride)`
 /// receives each finished row block: `rows` raw int32 output rows, row i at
 /// acc + i * stride, each holding the panels' columns (only the output's
-/// columns are meaningful), which it may overwrite. Code MACs count W's
-/// `tiles_n` padded 8-column tiles. No tile MMAs execute.
+/// columns are meaningful), which it may overwrite. Code MACs count the
+/// logical rows x the `n` logical output columns x the surviving logical K
+/// codes. No tile MMAs execute.
 template <typename ASrc, typename Drain>
 void code_dot_loop(const ASrc& a, i64 a_cols, const tcsim::CodePanels& w,
-                   i64 tiles_n, const BmmOptions& opt, Drain&& drain) {
+                   i64 n, const BmmOptions& opt, Drain&& drain) {
   const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
   const tcsim::SubstrateBackend& be = ctx.backend();
   const i64 tiles_m = a.tiles_m();
@@ -706,7 +677,7 @@ void code_dot_loop(const ASrc& a, i64 a_cols, const tcsim::CodePanels& w,
     for (i64 tm = tm0; tm < tm1; ++tm) {
       auto& list = k_lists[static_cast<std::size_t>(tm)];
       delta.tiles_jumped += static_cast<u64>(a.survivors(tm, opt, list));
-      const i64 rows = std::min<i64>(kTileM, a.rows() - tm * kTileM);
+      const i64 rows = block_rows(tm, a.rows());
       const u8* a_blk = a_codes + (tm - tm0) * kTileM * a_stride;
       runs.clear();
       i64 codes = 0;
@@ -722,13 +693,13 @@ void code_dot_loop(const ASrc& a, i64 a_cols, const tcsim::CodePanels& w,
           for (i64 k = k0; k < k1; ++k) dst[k] = src[k];
         }
         runs.push_back({k0 / 2, k1 / 2});
-        codes += k1 - k0;
+        codes += std::min(k1, a_cols) - k0;
         r = e;
       }
       be.code_gemm_rows(block, width, pairs, k_end, rows, w, runs.data(),
                         static_cast<i64>(runs.size()));
       drain(tm, rows, block, width);
-      delta.code_macs += static_cast<u64>(kTileM * kTileN * tiles_n * codes);
+      delta.code_macs += static_cast<u64>(rows * n * codes);
     }
     ctx.note(delta);
   });
@@ -755,23 +726,23 @@ void code_dot(StageInput a, StageWeight w, const BmmOptions& opt,
   QGTC_CHECK(panels.k_pairs * 2 == wp.plane(0).padded_rows() &&
                  panels.panels == ceil_div(wp.cols(), tcsim::kCodePanelCols),
              "packed weight codes do not match the weight planes");
-  const i64 tiles_n = wp.plane(0).padded_cols() / kTileN;
   if (a.codes() != nullptr) {
-    code_dot_loop(CodeRowsA(*a.codes()), a.cols(), panels, tiles_n, opt, drain);
+    code_dot_loop(CodeRowsA(*a.codes()), a.cols(), panels, wp.cols(), opt,
+                  drain);
   } else {
-    code_dot_loop(PlaneLinesA(*a.planes()), a.cols(), panels, tiles_n, opt,
+    code_dot_loop(PlaneLinesA(*a.planes()), a.cols(), panels, wp.cols(), opt,
                   drain);
   }
 }
 
 /// The fused to-bit epilogue's writer, shared by every kernel's drain (tile
-/// sweep lanes, exact raw tiles, gathered rows): the BN fold, then the shared
-/// tcsim::apply_epilogue, then the requantized values go into the output bit
-/// planes or narrow into the output code matrix. Plane tiles cost one word
-/// RMW per (line, plane); an 8-bit lane always sits inside one u32 word
-/// because tile extents divide the 32-bit packing. Drains write only
-/// logical cells, so concurrent drains of different tiles or rows never
-/// share a code byte.
+/// sweep lanes, exact raw tiles, gathered and code-dot row blocks): the BN
+/// fold, then the shared tcsim::apply_epilogue, then the requantized values
+/// go into the output bit planes or narrow into the output code matrix.
+/// Plane tiles cost one word RMW per (line, plane); an 8-bit lane always
+/// sits inside one u32 word because tile extents divide the 32-bit packing.
+/// Drains write only logical cells, so concurrent drains of different tiles
+/// or rows never share a code byte.
 class RequantWriter {
  public:
   RequantWriter(StackedBitTensor& out, const FusedEpilogue& epi)
@@ -840,19 +811,15 @@ class RequantWriter {
     }
   }
 
-  /// Drains one finished output row `r` (acc holds its cols values;
-  /// overwritten). Plane outputs must be kRowMajorK.
-  void row(i64 r, i32* acc) const {
-    requant(acc);
-    store_row(r, acc);
-  }
-
   /// Drains the finished rows of row block tm (row i at acc + i * stride;
-  /// overwritten), for any output form. kColMajorK planes take the block in
+  /// overwritten), for any output form. The rows requantize in one
+  /// requantize_row call over the block's span (lanes between rows are
+  /// requantized too and never stored). kColMajorK planes take the block in
   /// 8x8 slices through the tile scatter.
   void block(i64 tm, i32* acc, i64 stride) const {
     const i64 rh = rows_here(tm);
-    for (i64 i = 0; i < rh; ++i) requant(acc + i * stride);
+    for (i64 i = 0; i < rh; ++i) apply_bn_row(acc + i * stride, cols_, *epi_);
+    requantize_row(acc, (rh - 1) * stride + cols_, spec_);
     if (planes_ == nullptr || planes_->layout() == BitLayout::kRowMajorK) {
       for (i64 i = 0; i < rh; ++i) store_row(tm * kTileM + i, acc + i * stride);
       return;
@@ -876,12 +843,6 @@ class RequantWriter {
   tcsim::EpilogueSpec spec_;
 
   static i32 qmax_of(int bits) { return static_cast<i32>((u32{1} << bits) - 1); }
-
-  /// The BN fold and the shared epilogue over one row's cols values.
-  void requant(i32* acc) const {
-    apply_bn_row(acc, cols_, *epi_);
-    requantize_row(acc, cols_, spec_);
-  }
 
   /// Stores one requantized row `r` as codes or kRowMajorK plane bits.
   void store_row(i64 r, const i32* acc) const {
@@ -1061,6 +1022,21 @@ void check_aggregate(i64 a_cols, StageInput x, ReuseMode mode,
   if (!opt.allow_overflow) check_accumulator_bounds(a_cols, 1, x.bits());
 }
 
+/// The neighbour list a row gather over `a_bin` reads: opt.neighbours,
+/// which must have been expanded from `a_bin`, or else `a_bin` expanded
+/// here, per call, from its tile source.
+template <typename AdjT, typename Src>
+NeighbourList neighbours_of(const AdjT& a_bin, const Src& src,
+                            const BmmOptions& opt) {
+  if (opt.neighbours == nullptr) {
+    return expand_neighbours(src, a_bin.rows(), &a_bin, opt);
+  }
+  QGTC_CHECK(opt.neighbours->source == &a_bin &&
+                 opt.neighbours->rows == a_bin.rows(),
+             "the neighbour list was expanded from another adjacency");
+  return *opt.neighbours;
+}
+
 /// Shared aggregate_1bit body, generic over the adjacency representation
 /// (bmm_accumulate overloads on it) and its tile source. `padded_m` is the
 /// representation's padded row extent for the cross-bit accumulator.
@@ -1074,10 +1050,14 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
              "aggregate_1bit_into: output shape mismatch");
   const i64 m = a_bin.rows(), n = x.cols();
   if (mode == ReuseMode::kRowGather) {
-    row_gather(src, x, m, opt, [&](i64 r, const i32* acc) {
-      std::memcpy(out.data() + r * n, acc,
-                  static_cast<std::size_t>(n) * sizeof(i32));
-    });
+    row_gather(neighbours_of(a_bin, src, opt), x, opt,
+               [&](i64 tm, i64 rows, const i32* acc, i64 stride) {
+                 for (i64 i = 0; i < rows; ++i) {
+                   std::memcpy(out.data() + (tm * kTileM + i) * n,
+                               acc + i * stride,
+                               static_cast<std::size_t>(n) * sizeof(i32));
+                 }
+               });
     return;
   }
   const StackedBitTensor& xp = x.need_planes("the tile sweeps");
@@ -1105,19 +1085,22 @@ void aggregate_1bit_into_impl(const AdjT& a_bin, i64 padded_m, const Src& src,
                    });
 }
 
-/// Fused to-bit aggregation body, generic over the adjacency tile source:
-/// the row gather drains each row through `write`, the tile schedules run
-/// the cross-tile sweep (cross-bit has no fused form). Outputs are
-/// kRowMajorK planes or codes.
-template <typename Src>
-void aggregate_requant(const Src& src, i64 m, StageInput x,
+/// Fused to-bit aggregation body, generic over the adjacency and its tile
+/// source: the row gather drains each row block through `write`, the tile
+/// schedules run the cross-tile sweep (cross-bit has no fused form).
+/// Outputs are kRowMajorK planes or codes.
+template <typename AdjT, typename Src>
+void aggregate_requant(const AdjT& a_bin, const Src& src, StageInput x,
                        const RequantWriter& write, const BmmOptions& opt,
                        ReuseMode mode) {
   const tcsim::ExecutionContext& ctx = resolve_ctx(opt);
   if (mode == ReuseMode::kRowGather) {
     QGTC_CHECK(write.bits() <= 8,
                "the row gather's fused output packs at most 8 bits");
-    row_gather(src, x, m, opt, [&](i64 r, i32* acc) { write.row(r, acc); });
+    row_gather(neighbours_of(a_bin, src, opt), x, opt,
+               [&](i64 tm, i64, i32* acc, i64 stride) {
+                 write.block(tm, acc, stride);
+               });
   } else {
     const tcsim::SubstrateBackend& be = ctx.backend();
     fused_tile_sweep(src, plane_ptrs(x.need_planes("the tile sweeps")), opt,
@@ -1126,7 +1109,7 @@ void aggregate_requant(const Src& src, i64 m, StageInput x,
                        write(be, tm, tn, acc);
                      });
   }
-  note_int32_avoided(ctx, m, x.cols());
+  note_int32_avoided(ctx, a_bin.rows(), x.cols());
 }
 
 template <typename AdjT, typename Src>
@@ -1139,7 +1122,7 @@ StackedBitTensor aggregate_fused_bit_impl(const AdjT& a_bin, const Src& src,
   QGTC_CHECK(out_bits >= 1 && out_bits <= 31, "out_bits must be in [1,31]");
   StackedBitTensor out = StackedBitTensor::zeros(
       a_bin.rows(), x.cols(), out_bits, BitLayout::kRowMajorK, out_pad);
-  aggregate_requant(src, a_bin.rows(), x, RequantWriter(out, epi), opt, mode);
+  aggregate_requant(a_bin, src, x, RequantWriter(out, epi), opt, mode);
   return out;
 }
 
@@ -1151,10 +1134,19 @@ void aggregate_fused_codes_impl(const AdjT& a_bin, const Src& src,
   check_aggregate(a_bin.cols(), x, mode, opt);
   QGTC_CHECK(out.rows == a_bin.rows() && out.cols == x.cols(),
              "aggregate_fused_codes: output shape mismatch");
-  aggregate_requant(src, a_bin.rows(), x, RequantWriter(out, epi), opt, mode);
+  aggregate_requant(a_bin, src, x, RequantWriter(out, epi), opt, mode);
 }
 
 }  // namespace
+
+NeighbourList expand_neighbours(const BitMatrix& a, const BmmOptions& opt) {
+  return expand_neighbours(DensePlanesSource({&a}), a.rows(), &a, opt);
+}
+
+NeighbourList expand_neighbours(const TileSparseBitMatrix& a,
+                                const BmmOptions& opt) {
+  return expand_neighbours(SparseAdjSource(a), a.rows(), &a, opt);
+}
 
 MatrixI32 aggregate_1bit(const BitMatrix& a_bin, StageInput x, ReuseMode mode,
                          const BmmOptions& opt) {

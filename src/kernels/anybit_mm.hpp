@@ -29,8 +29,8 @@ namespace qgtc {
 enum class ReuseMode {
   kCrossBit,   // (a): one full pass per bit-plane; A tiles re-loaded per bit
   kCrossTile,  // (b): per non-zero A tile, sweep all bit-planes (O(1) loads)
-  kRowGather,  // per surviving A tile, walk its set bits and add each
-               // neighbour's unpacked u8 code row (no tile MMAs); see
+  kRowGather,  // add each row's neighbours' u8 code rows, read from the
+               // adjacency's neighbour list (no tile MMAs); see
                // row_gather_applies for when it is allowed
   kCodeDot,    // updates only: unpack both operands to u8 codes and take
                // exact int32 dot products over the surviving K tiles (no
@@ -202,9 +202,38 @@ void bitmm_fused_codes(StageInput a, StageWeight b,
 /// gather is bit-identical to the tile sweeps.
 [[nodiscard]] bool row_gather_applies(int x_bits, const BmmOptions& opt);
 
+/// An adjacency's neighbour lists, expanded once from its surviving tiles
+/// so that every row gather over the adjacency reads them instead of
+/// walking the tile bits again (the §4.4 non-zero tile reuse, applied
+/// across layers). Row r's neighbours are ids[offsets[r], offsets[r + 1]),
+/// ascending; row block tm jumped jumped[tm] zero tiles, which each gather
+/// over the list counts as tiles_jumped. A non-owning view of the expanding
+/// thread's workspace slots: valid until that thread expands again.
+struct NeighbourList {
+  const i64* offsets = nullptr;  // rows + 1 entries
+  const i32* ids = nullptr;
+  const i64* jumped = nullptr;   // blocks entries
+  i64 rows = 0;
+  i64 blocks = 0;                // the adjacency's 8-row blocks, padding included
+  const void* source = nullptr;  // the adjacency it was expanded from
+
+  [[nodiscard]] i64 edges() const { return offsets[rows]; }
+};
+
+/// Expands `a`'s neighbour lists into the calling thread's workspace: two
+/// passes over row blocks (count, then fill) over the tiles that survive
+/// zero-tile jumping per `opt` (its jump flag and tile_map), with ids
+/// written by the backend's expand_bits hook.
+[[nodiscard]] NeighbourList expand_neighbours(const BitMatrix& a,
+                                              const BmmOptions& opt = {});
+/// Over a tile-CSR adjacency: its stored tiles survive.
+[[nodiscard]] NeighbourList expand_neighbours(const TileSparseBitMatrix& a,
+                                              const BmmOptions& opt = {});
+
 /// Neighbour aggregation X_new = A_bin x X with selectable schedule (the
 /// Figure 10 ablation, plus kRowGather). int32 output. A code operand `x`
-/// needs kRowGather.
+/// needs kRowGather, which reads opt.neighbours when set (it must have been
+/// expanded from `a_bin`) and expands `a_bin` per call otherwise.
 MatrixI32 aggregate_1bit(const BitMatrix& a_bin, StageInput x,
                          ReuseMode mode, const BmmOptions& opt = {});
 
@@ -226,9 +255,9 @@ void aggregate_1bit_into(const TileSparseBitMatrix& a_bin,
                          MatrixI32& out, const BmmOptions& opt = {});
 
 /// Fused aggregation: requantizes X_new to `out_bits` inside the epilogue.
-/// `mode` kRowGather drains each gathered row through the epilogue (at most
-/// 8 output bits); the tile schedules run the cross-tile sweep (cross-bit
-/// has no fused form).
+/// `mode` kRowGather drains each gathered row block through the epilogue
+/// (at most 8 output bits); the tile schedules run the cross-tile sweep
+/// (cross-bit has no fused form).
 StackedBitTensor aggregate_fused_bit(const BitMatrix& a_bin,
                                      StageInput x, int out_bits,
                                      const FusedEpilogue& epi = {},

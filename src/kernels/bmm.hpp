@@ -11,6 +11,8 @@
 
 namespace qgtc {
 
+struct NeighbourList;
+
 struct BmmOptions {
   /// Skip all-zero 8x128 A-tiles (paper §4.3). Requires `tile_map` or pays
   /// an inline OR+ballot test per tile.
@@ -18,6 +20,11 @@ struct BmmOptions {
   /// Optional precomputed jump map (reused across layers/bit-planes since the
   /// adjacency pattern is shared — paper §3.2's caching note).
   const TileMap* tile_map = nullptr;
+  /// Optional neighbour list of the aggregation's adjacency
+  /// (expand_neighbours), shared by every row gather over it — a forward
+  /// pass expands it once for all its layers. Without one, a row gather
+  /// expands the adjacency per call. Ignored by the tile kernels.
+  const NeighbourList* neighbours = nullptr;
   /// Skip the worst-case int32 bound check. High-bit settings (s or t > 8,
   /// as in the paper's 16/32-bit runs) can exceed the bound; accumulation is
   /// performed in unsigned arithmetic so overflow wraps (defined behaviour),

@@ -39,6 +39,54 @@ void code_gemm_rows_ref(i32* out, i64 out_stride, const i16* a, i64 a_stride,
   }
 }
 
+/// The bit expansion's reference loop (the base hook, and the fallback of
+/// the vector hook on CPUs without its ISA).
+i64 expand_bits_ref(u64 bits, i32 base, i32* out) {
+  i64 count = 0;
+  for (; bits != 0; bits &= bits - 1) {
+    out[count++] = base + std::countr_zero(bits);
+  }
+  return count;
+}
+
+/// In-place transpose of an 8x8 byte matrix held as eight u64 rows (byte j
+/// of r[i] is element (i, j)): three rounds of block swaps.
+inline void transpose8x8_bytes(u64 (&r)[8]) {
+  const auto swap_blocks = [&](int dist, int bits, u64 mask) {
+    for (int i = 0; i < 8; ++i) {
+      if ((i & dist) != 0) continue;
+      const u64 t = ((r[i] >> bits) ^ r[i + dist]) & mask;
+      r[i + dist] ^= t;
+      r[i] ^= t << bits;
+    }
+  };
+  swap_blocks(1, 8, 0x00FF00FF00FF00FFull);
+  swap_blocks(2, 16, 0x0000FFFF0000FFFFull);
+  swap_blocks(4, 32, 0x00000000FFFFFFFFull);
+}
+
+/// The plane unpack's reference loop (the base hook, and the vector hook's
+/// tail and fallback): per 8 rows x 8 columns, one byte per plane per column
+/// spreads into eight code bytes, then an 8x8 byte transpose makes them
+/// row-major.
+void unpack_codes_ref(u8* codes, i64 stride, const u8* const* planes,
+                      int bits, i64 line_bytes, i64 rows, i64 cols) {
+  for (i64 g = 0; g < rows / 8; ++g) {
+    u8* dst = codes + g * 8 * stride;
+    for (i64 c0 = 0; c0 < cols; c0 += 8) {
+      u64 r[8];
+      for (int c = 0; c < 8; ++c) {
+        const i64 at = (c0 + c) * line_bytes + g;
+        u64 v = 0;
+        for (int b = 0; b < bits; ++b) v |= kByteSpread[planes[b][at]] << b;
+        r[c] = v;
+      }
+      transpose8x8_bytes(r);
+      for (int i = 0; i < 8; ++i) std::memcpy(dst + i * stride + c0, &r[i], 8);
+    }
+  }
+}
+
 /// One A pair (two adjacent i16 codes) as the i32 a vector broadcasts.
 inline i32 load_pair(const i16* a) {
   i32 v;
@@ -326,7 +374,105 @@ struct Avx512Kernels {
       }
     }
   }
+
+  /// In-place transpose of the 8x8 qword matrix z (qword q of z[r] is
+  /// element (r, q)): three rounds of vpermt2q over register pairs 1, 2 and
+  /// 4 apart.
+  static void transpose8x8_qwords(__m512i (&z)[8]) {
+    const auto round = [&](int dist, __m512i lo, __m512i hi) {
+      for (int r = 0; r < 8; ++r) {
+        if ((r & dist) != 0) continue;
+        const __m512i a = z[r];
+        z[r] = _mm512_permutex2var_epi64(a, lo, z[r + dist]);
+        z[r + dist] = _mm512_permutex2var_epi64(a, hi, z[r + dist]);
+      }
+    };
+    round(1, _mm512_setr_epi64(0, 8, 2, 10, 4, 12, 6, 14),
+          _mm512_setr_epi64(1, 9, 3, 11, 5, 13, 7, 15));
+    round(2, _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13),
+          _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15));
+    round(4, _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
+          _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15));
+  }
+
+  /// 64 rows x 8 columns per step: each plane's 64 row bits of a column
+  /// select (masked mov) its bit value into the column's 64 code bytes, an
+  /// 8x8 qword transpose puts 8 rows of all 8 columns into each vector
+  /// (qword c = column c), and an in-lane byte shuffle plus a word permute
+  /// make each row's 8 codes contiguous. Rows past the last multiple of 64
+  /// go to the reference loop.
+  static void unpack_codes(u8* codes, i64 stride, const u8* const* planes,
+                           int bits, i64 line_bytes, i64 rows, i64 cols) {
+    static const bool ok = __builtin_cpu_supports("avx512bw");
+    const i64 rows64 = ok ? rows / 64 * 64 : 0;
+    // Lane bytes (column 2L + c, row n) at 8c + n -> 2n + c; then word
+    // (lane L, row n) at 8L + n -> 4n + L.
+    const __m512i pair_rows = _mm512_broadcast_i32x4(_mm_setr_epi8(
+        0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15));
+    const __m512i row_words = _mm512_set_epi16(
+        31, 23, 15, 7, 30, 22, 14, 6, 29, 21, 13, 5, 28, 20, 12, 4, 27, 19, 11,
+        3, 26, 18, 10, 2, 25, 17, 9, 1, 24, 16, 8, 0);
+    for (i64 v0 = 0; v0 < rows64; v0 += 64) {
+      for (i64 c0 = 0; c0 < cols; c0 += 8) {
+        __m512i z[8];
+        for (int c = 0; c < 8; ++c) {
+          z[c] = _mm512_setzero_si512();
+          for (int b = 0; b < bits; ++b) {
+            u64 m;
+            std::memcpy(&m, planes[b] + (c0 + c) * line_bytes + v0 / 8,
+                        sizeof(m));
+            z[c] = _mm512_or_si512(
+                z[c], _mm512_maskz_mov_epi8(m, _mm512_set1_epi8(
+                                                   static_cast<char>(1 << b))));
+          }
+        }
+        transpose8x8_qwords(z);
+        for (int q = 0; q < 8; ++q) {
+          alignas(64) u8 rows8[64];
+          _mm512_store_si512(
+              rows8, _mm512_permutexvar_epi16(
+                         row_words, _mm512_shuffle_epi8(z[q], pair_rows)));
+          u8* dst = codes + (v0 + 8 * q) * stride + c0;
+          for (int n = 0; n < 8; ++n) std::memcpy(dst + n * stride, rows8 + 8 * n, 8);
+        }
+      }
+    }
+    if (rows64 == rows) return;
+    const u8* tail[8];
+    for (int b = 0; b < bits; ++b) tail[b] = planes[b] + rows64 / 8;
+    unpack_codes_ref(codes + rows64 * stride, stride, tail, bits, line_bytes,
+                     rows - rows64, cols);
+  }
 #endif  // AVX512BW
+
+#if defined(__AVX512VBMI2__)
+  /// vpcompressb packs the set bits' indices out of a byte iota; each 16 of
+  /// them widen to i32, add `base` and store under a mask, so nothing past
+  /// the count is written.
+  static i64 expand_bits(u64 bits, i32 base, i32* out) {
+    static const bool ok = __builtin_cpu_supports("avx512vbmi2");
+    if (!ok) return expand_bits_ref(bits, base, out);
+    const __m512i iota = _mm512_set_epi8(
+        63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48, 47,
+        46, 45, 44, 43, 42, 41, 40, 39, 38, 37, 36, 35, 34, 33, 32, 31, 30, 29,
+        28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11,
+        10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+    const __m512i idx = _mm512_maskz_compress_epi8(bits, iota);
+    const __m512i b = _mm512_set1_epi32(base);
+    const int count = std::popcount(bits);
+    const auto put = [&](int at, __m128i part) {
+      const int left = std::min(count - at, 16);
+      _mm512_mask_storeu_epi32(
+          out + at, static_cast<__mmask16>((u32{1} << left) - 1),
+          _mm512_add_epi32(_mm512_cvtepu8_epi32(part), b));
+    };
+    put(0, _mm512_castsi512_si128(idx));
+    if (count > 16) put(16, _mm512_extracti32x4_epi32(idx, 1));
+    if (count > 32) put(32, _mm512_extracti32x4_epi32(idx, 2));
+    if (count > 48) put(48, _mm512_extracti32x4_epi32(idx, 3));
+    return count;
+  }
+#endif  // AVX512VBMI2
 
   static void add_code_rows(i32* acc, const u8* codes, i64 stride, i64 width,
                             const i32* rows, i64 count) {
@@ -534,6 +680,29 @@ class BackendImpl final : public SubstrateBackend {
       SubstrateBackend::add_code_rows(acc, codes, stride, width, rows, count);
     }
   }
+  i64 expand_bits(u64 bits, i32 base, i32* out) const override {
+    // The AVX-512 (VBMI2) micro-kernel brings a vpcompressb expansion; the
+    // others keep the base loop.
+    if constexpr (requires { Kernels::expand_bits(bits, base, out); }) {
+      return Kernels::expand_bits(bits, base, out);
+    } else {
+      return SubstrateBackend::expand_bits(bits, base, out);
+    }
+  }
+  void unpack_codes(u8* codes, i64 stride, const u8* const* planes, int bits,
+                    i64 line_bytes, i64 rows, i64 cols) const override {
+    // The AVX-512 (BW) micro-kernel brings a 64-row transpose; the others
+    // keep the base loop.
+    if constexpr (requires {
+                    Kernels::unpack_codes(codes, stride, planes, bits,
+                                          line_bytes, rows, cols);
+                  }) {
+      Kernels::unpack_codes(codes, stride, planes, bits, line_bytes, rows, cols);
+    } else {
+      SubstrateBackend::unpack_codes(codes, stride, planes, bits, line_bytes,
+                                     rows, cols);
+    }
+  }
   void code_gemm_rows(i32* out, i64 out_stride, const i16* a, i64 a_stride,
                       i64 rows, const CodePanels& w, const KRun* runs,
                       i64 n_runs) const override {
@@ -652,6 +821,16 @@ void SubstrateBackend::add_code_rows(i32* acc, const u8* codes, i64 stride,
     const u8* src = codes + static_cast<i64>(rows[t]) * stride;
     for (i64 j = 0; j < width; ++j) acc[j] += static_cast<i32>(src[j]);
   }
+}
+
+i64 SubstrateBackend::expand_bits(u64 bits, i32 base, i32* out) const {
+  return expand_bits_ref(bits, base, out);
+}
+
+void SubstrateBackend::unpack_codes(u8* codes, i64 stride,
+                                    const u8* const* planes, int bits,
+                                    i64 line_bytes, i64 rows, i64 cols) const {
+  unpack_codes_ref(codes, stride, planes, bits, line_bytes, rows, cols);
 }
 
 void SubstrateBackend::code_gemm_rows(i32* out, i64 out_stride, const i16* a,

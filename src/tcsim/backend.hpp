@@ -23,6 +23,7 @@
 // contract at flush.
 #pragma once
 
+#include <array>
 #include <string_view>
 #include <vector>
 
@@ -149,6 +150,18 @@ inline void scatter_planes(const PlaneSink& s, const i32* q) {
   }
 }
 
+/// kByteSpread[v] holds bit i of v in the low bit of byte i: one packed
+/// plane byte spread into the bit-b slot of eight u8 codes (shifted by b).
+inline constexpr std::array<u64, 256> kByteSpread = [] {
+  std::array<u64, 256> t{};
+  for (int v = 0; v < 256; ++v) {
+    for (int i = 0; i < 8; ++i) {
+      t[static_cast<std::size_t>(v)] |= static_cast<u64>((v >> i) & 1) << (8 * i);
+    }
+  }
+  return t;
+}();
+
 /// Output columns of one code GEMM panel: one 512-bit vector of i32.
 inline constexpr i64 kCodePanelCols = 16;
 
@@ -242,6 +255,24 @@ class SubstrateBackend {
   /// scalar loop.
   virtual void add_code_rows(i32* acc, const u8* codes, i64 stride, i64 width,
                              const i32* rows, i64 count) const;
+
+  /// Bit expansion hook: writes base + i for each set bit i of `bits`,
+  /// ascending, to out[0, count) and returns count (the popcount). Writes
+  /// nothing past out + count. The neighbour-list expansion calls it once
+  /// per 64-bit half of a stored adjacency tile row.
+  virtual i64 expand_bits(u64 bits, i32 base, i32* out) const;
+
+  /// Plane unpack hook: kColMajorK bit planes (at most 8) into row-major u8
+  /// codes. For v < rows and j < cols,
+  ///   codes[v * stride + j] = sum over b < bits of 2^b * bit v of line j of
+  ///   plane b,
+  /// where line j of plane b starts at planes[b] + j * line_bytes and bit v
+  /// is bit v % 8 of its byte v / 8 (the u32 packing on a little-endian
+  /// host). rows and cols are multiples of 8, rows at most 8 * line_bytes.
+  /// Writes nothing else.
+  virtual void unpack_codes(u8* codes, i64 stride, const u8* const* planes,
+                            int bits, i64 line_bytes, i64 rows,
+                            i64 cols) const;
 
   /// Code GEMM hook: for i < rows and every column j of `w`'s panels,
   ///   out[i * out_stride + j] = sum over the runs r, K pairs kk in

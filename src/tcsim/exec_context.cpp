@@ -67,6 +67,12 @@ u8* Workspace::code_activation(int slot, i64 bytes) {
 
 i32* Workspace::gather_lanes(i64 lanes) { return grown(gather_lanes_, lanes); }
 
+i64* Workspace::neighbour_index(i64 elems) {
+  return grown(neighbour_index_, elems);
+}
+
+i32* Workspace::neighbour_ids(i64 elems) { return grown(neighbour_ids_, elems); }
+
 std::size_t Workspace::footprint_bytes() const {
   std::size_t b = static_cast<std::size_t>(padded_acc_.size()) * sizeof(i32) +
                   tile_refs_.capacity() * sizeof(SparseTileRef) +
@@ -74,7 +80,9 @@ std::size_t Workspace::footprint_bytes() const {
                   acc_lanes_.size() * sizeof(u64) + code_scratch_.size() +
                   row_codes_.size() + gather_lanes_.size() * sizeof(i32) +
                   (code_panels_.size() + code_pairs_.size()) * sizeof(i16) +
-                  code_block_.size() * sizeof(i32);
+                  code_block_.size() * sizeof(i32) +
+                  neighbour_index_.size() * sizeof(i64) +
+                  neighbour_ids_.size() * sizeof(i32);
   for (const auto& m : int32_scratch_) {
     b += static_cast<std::size_t>(m.size()) * sizeof(i32);
   }

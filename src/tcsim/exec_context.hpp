@@ -87,8 +87,16 @@ class Workspace {
   u8* code_activation(int slot, i64 bytes);
 
   /// Uninitialised, 64-byte-aligned i32 scratch: the row gather's per-thread
-  /// accumulator row and neighbour list.
+  /// accumulator rows (one row block).
   i32* gather_lanes(i64 lanes);
+
+  /// Uninitialised i64 storage of a neighbour list's row offsets and
+  /// per-row-block jump counts, and i32 storage of its neighbour ids: one
+  /// adjacency's expansion, filled by the calling thread's stage team and
+  /// read by every row gather over that adjacency until the thread expands
+  /// again.
+  i64* neighbour_index(i64 elems);
+  i32* neighbour_ids(i64 elems);
 
   /// Bytes currently retained by this thread's arena.
   [[nodiscard]] std::size_t footprint_bytes() const;
@@ -107,6 +115,8 @@ class Workspace {
   AlignedVector<i32> code_block_;
   std::vector<AlignedVector<u8>> code_activations_;
   AlignedVector<i32> gather_lanes_;
+  AlignedVector<i64> neighbour_index_;
+  AlignedVector<i32> neighbour_ids_;
 };
 
 /// This OS thread's arena (created on first use, lives for the thread).

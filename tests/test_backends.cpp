@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <string>
 
 #include "api/bit_tensor_api.hpp"
 #include "common/rng.hpp"
@@ -431,6 +433,194 @@ TEST(CodeGemm, CodeDotMatchesTheTileSweepInEveryOutputForm) {
         }
       }
     }
+  }
+}
+
+TEST(ExpandBits, EveryBackendMatchesTheScalarBase) {
+  Rng rng(4242);
+  std::vector<u64> words = {0, 1, u64{1} << 63, 0x8000000000000001ull,
+                            ~u64{0}};
+  // 16 and 17 set bits straddle the hook's 16-id stores.
+  for (const int count : {16, 17, 31, 32, 33, 48, 49}) {
+    u64 w = 0;
+    while (std::popcount(w) < count) w |= u64{1} << rng.next_below(64);
+    words.push_back(w);
+  }
+  for (int i = 0; i < 40; ++i) words.push_back(rng.next_u64());
+  for (const u64 w : words) {
+    for (const i32 base : {0, 64, 1 << 20}) {
+      std::vector<i32> want;
+      for (int b = 0; b < 64; ++b) {
+        if ((w >> b) & 1) want.push_back(base + b);
+      }
+      for (const tcsim::BackendKind kind : tcsim::all_backends()) {
+        const tcsim::SubstrateBackend& be = tcsim::backend(kind);
+        // Sentinels past the count must survive: the hook writes exactly
+        // count ids.
+        std::vector<i32> got(65, -1), ref(65, -1);
+        const i64 n = be.expand_bits(w, base, got.data());
+        const i64 n_ref = be.SubstrateBackend::expand_bits(w, base, ref.data());
+        ASSERT_EQ(n, std::popcount(w)) << be.name();
+        ASSERT_EQ(n_ref, n);
+        EXPECT_EQ(std::vector<i32>(got.begin(), got.begin() + n), want)
+            << be.name() << " word " << w;
+        EXPECT_EQ(got, ref) << be.name() << " word " << w;
+        EXPECT_EQ(got[static_cast<std::size_t>(n)], -1) << be.name();
+      }
+    }
+  }
+}
+
+TEST(UnpackCodes, EveryBackendMatchesTheScalarBaseAndTheCodes) {
+  Rng rng(777);
+  // Row counts below, at and past the vector hook's 64-row steps.
+  for (const i64 rows : {1, 13, 64, 70, 130, 200}) {
+    for (const i64 width : {1, 7, 8, 9, 16, 17, 64, 65, 127, 130}) {
+      const int bits = static_cast<int>(rng.next_in(1, 8));
+      const MatrixI32 q = random_codes(rng, rows, width, bits);
+      const auto planes = StackedBitTensor::decompose(
+          q, bits, BitLayout::kColMajorK, PadPolicy::kTile8);
+      const u8* lines[8];
+      for (int b = 0; b < bits; ++b) {
+        lines[b] = reinterpret_cast<const u8*>(planes.plane(b).data());
+      }
+      const i64 line_bytes =
+          planes.plane(0).k_words() * static_cast<i64>(sizeof(u32));
+      const i64 rows8 = pad8(rows), cols8 = pad8(width);
+      const i64 stride = cols8 + 5;  // bytes past the columns stay untouched
+      std::vector<u8> want(static_cast<std::size_t>(rows8 * stride), 0xAB);
+      for (i64 r = 0; r < rows8; ++r) {
+        for (i64 j = 0; j < cols8; ++j) {
+          want[static_cast<std::size_t>(r * stride + j)] =
+              r < rows && j < width ? static_cast<u8>(q(r, j)) : 0;
+        }
+      }
+      for (const tcsim::BackendKind kind : tcsim::all_backends()) {
+        const tcsim::SubstrateBackend& be = tcsim::backend(kind);
+        std::vector<u8> got(want.size(), 0xAB), base(want.size(), 0xAB);
+        be.unpack_codes(got.data(), stride, lines, bits, line_bytes, rows8,
+                        cols8);
+        be.SubstrateBackend::unpack_codes(base.data(), stride, lines, bits,
+                                          line_bytes, rows8, cols8);
+        EXPECT_EQ(got, want) << be.name() << " rows=" << rows
+                             << " width=" << width << " bits=" << bits;
+        EXPECT_EQ(base, want) << "base rows=" << rows << " width=" << width;
+      }
+    }
+  }
+}
+
+/// An n x n adjacency with every row shape the expansion meets: empty rows,
+/// an all-zero row block, a full row (64-bit words of all ones), rows with
+/// 16 and 17 bits in one word, and sparse random rows.
+MatrixI32 expansion_adjacency(Rng& rng, i64 n) {
+  MatrixI32 m(n, n, 0);
+  for (i64 r = 0; r < n; ++r) {
+    if (r % 5 == 3 || (r >= 8 && r < 16)) continue;  // empty; zero block 1
+    if (r == 2) {
+      for (i64 c = 0; c < n; ++c) m(r, c) = 1;
+      continue;
+    }
+    const i64 dense = r == 4 ? 16 : r == 6 ? 17 : 0;
+    for (i64 c = 0; c < std::min(dense, n); ++c) m(r, c) = 1;
+    for (int e = 0; e < 4; ++e) m(r, static_cast<i64>(rng.next_below(static_cast<u64>(n)))) = 1;
+  }
+  return m;
+}
+
+TEST(NeighbourList, MatchesTheAdjacencyOnBothSourcesAndEveryBackend) {
+  Rng rng(31337);
+  for (const i64 n : {1, 13, 70, 130, 300}) {
+    const MatrixI32 adj = expansion_adjacency(rng, n);
+    const BitMatrix dense = pack_nonzero(adj, BitLayout::kRowMajorK);
+    const TileSparseBitMatrix sparse = TileSparseBitMatrix::from_bit_matrix(dense);
+    const TileMap map = build_tile_map(dense);
+    std::vector<i64> want_offsets = {0};
+    std::vector<i32> want_ids;
+    for (i64 r = 0; r < n; ++r) {
+      for (i64 c = 0; c < n; ++c) {
+        if (adj(r, c) != 0) want_ids.push_back(static_cast<i32>(c));
+      }
+      want_offsets.push_back(static_cast<i64>(want_ids.size()));
+    }
+    for (const tcsim::BackendKind kind : tcsim::all_backends()) {
+      const tcsim::ExecutionContext ctx(kind);
+      BmmOptions opt;
+      opt.ctx = &ctx;
+      opt.zero_tile_jump = true;
+      BmmOptions mapped = opt;
+      mapped.tile_map = &map;
+      // One expansion at a time: a list is valid until the thread expands
+      // again.
+      const auto check = [&](const NeighbourList& nl, const void* adj_ptr,
+                             i64 tiles_k, const std::string& tag) {
+        ASSERT_EQ(nl.rows, n) << tag;
+        EXPECT_EQ(nl.source, adj_ptr) << tag;
+        EXPECT_EQ(std::vector<i64>(nl.offsets, nl.offsets + n + 1), want_offsets)
+            << tag;
+        EXPECT_EQ(std::vector<i32>(nl.ids, nl.ids + nl.edges()), want_ids) << tag;
+        ASSERT_EQ(nl.blocks, sparse.tiles_m()) << tag;
+        for (i64 tm = 0; tm < nl.blocks; ++tm) {
+          EXPECT_EQ(nl.jumped[tm], tiles_k - sparse.row_nnz(tm))
+              << tag << " block " << tm;
+        }
+      };
+      const std::string be = tcsim::backend_name(kind);
+      check(expand_neighbours(sparse, opt), &sparse, sparse.tiles_k(),
+            be + " tile-CSR n=" + std::to_string(n));
+      check(expand_neighbours(dense, mapped), &dense, sparse.tiles_k(),
+            be + " dense+map n=" + std::to_string(n));
+      check(expand_neighbours(dense, opt), &dense, sparse.tiles_k(),
+            be + " dense n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(NeighbourList, SharedListMatchesPerCallExpansionAndRejectsOtherAdjacency) {
+  Rng rng(99);
+  const i64 n = 150;
+  const MatrixI32 adj = expansion_adjacency(rng, n);
+  const MatrixI32 other = random_binary(rng, n, n, 0.05f);
+  const TileSparseBitMatrix a =
+      TileSparseBitMatrix::from_bit_matrix(pack_nonzero(adj, BitLayout::kRowMajorK));
+  const TileSparseBitMatrix b = TileSparseBitMatrix::from_bit_matrix(
+      pack_nonzero(other, BitLayout::kRowMajorK));
+  const MatrixI32 xq = random_codes(rng, n, 24, 4);
+  const auto x = StackedBitTensor::decompose(xq, 4, BitLayout::kColMajorK,
+                                             PadPolicy::kTile8);
+  FusedEpilogue epi;
+  epi.rshift = 2;
+  for (const tcsim::BackendKind kind : tcsim::all_backends()) {
+    const tcsim::ExecutionContext per_call_ctx(kind), shared_ctx(kind);
+    BmmOptions per_call;
+    per_call.ctx = &per_call_ctx;
+    per_call.zero_tile_jump = true;
+    const MatrixI32 want = aggregate_1bit(a, x, ReuseMode::kRowGather, per_call);
+    const auto want_bits =
+        aggregate_fused_bit(a, x, 4, epi, per_call, PadPolicy::kTile8,
+                            ReuseMode::kRowGather);
+
+    BmmOptions shared = per_call;
+    shared.ctx = &shared_ctx;
+    const NeighbourList nl = expand_neighbours(a, shared);
+    shared.neighbours = &nl;
+    EXPECT_EQ(aggregate_1bit(a, x, ReuseMode::kRowGather, shared), want)
+        << tcsim::backend_name(kind);
+    EXPECT_EQ(aggregate_fused_bit(a, x, 4, epi, shared, PadPolicy::kTile8,
+                                  ReuseMode::kRowGather)
+                  .compose(),
+              want_bits.compose())
+        << tcsim::backend_name(kind);
+    const tcsim::Counters pc = per_call_ctx.counters();
+    const tcsim::Counters sc = shared_ctx.counters();
+    EXPECT_EQ(sc.tiles_jumped, pc.tiles_jumped);
+    EXPECT_EQ(sc.gather_edges, pc.gather_edges);
+    EXPECT_EQ(sc.gather_edges, 2 * static_cast<u64>(nl.edges()));
+    EXPECT_EQ(sc.bmma_ops, 0u);
+
+    // A list of another adjacency (same shape) must not be read.
+    EXPECT_THROW((void)aggregate_1bit(b, x, ReuseMode::kRowGather, shared),
+                 std::invalid_argument);
   }
 }
 

@@ -144,6 +144,56 @@ TEST(Model, ReuseModesIdentical) {
   }
 }
 
+TEST(Model, SharedNeighbourListMatchesPerCallAggregation) {
+  // A forward expands the adjacency's neighbour list once and every gather
+  // reads it. Per call, each gather would walk the adjacency itself: the
+  // logits are the tile sweep's, the jumped tiles the sweep's, and every
+  // gather adds each adjacency bit once. Both adjacency layouts, every
+  // backend, fused and unfused.
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the row gather runs on little-endian hosts only";
+  }
+  Fixture f;
+  const TileSparseBitMatrix sparse = TileSparseBitMatrix::from_bit_matrix(f.adj);
+  const TileMap map = build_tile_map(f.adj);
+  i64 edges = 0;
+  for (i64 r = 0; r < f.adj.rows(); ++r) {
+    for (i64 w = 0; w < f.adj.k_words(); ++w) {
+      edges += std::popcount(f.adj.row_words(r)[w]);
+    }
+  }
+  for (const ModelKind kind : {ModelKind::kClusterGCN, ModelKind::kBatchedGIN}) {
+    for (const bool fused : {false, true}) {
+      GnnConfig cfg = f.config(kind, 4);
+      cfg.fused_epilogue = fused;
+      cfg.reuse = ReuseMode::kCrossTile;
+      QgtcModel sweep = QgtcModel::create(cfg, 23);
+      sweep.calibrate(f.adj, f.feats);
+      cfg.reuse = ReuseMode::kRowGather;
+      QgtcModel gather = QgtcModel::create(cfg, 23);
+      gather.calibrate(f.adj, f.feats);
+      const StackedBitTensor x = gather.prepare_input(f.feats);
+      ForwardStats want;
+      const MatrixI32 logits = sweep.forward_prepared(sparse, x, &want);
+      for (const tcsim::BackendKind be : tcsim::all_backends()) {
+        const std::string tag = std::string(model_name(kind)) +
+                                (fused ? " fused " : " unfused ") +
+                                tcsim::backend_name(be);
+        const tcsim::ExecutionContext ctx(be);
+        ForwardStats s_sparse, s_dense;
+        EXPECT_EQ(gather.forward_prepared(sparse, x, &s_sparse, &ctx), logits)
+            << tag;
+        EXPECT_EQ(gather.forward_prepared(f.adj, &map, x, &s_dense, &ctx), logits)
+            << tag;
+        for (const ForwardStats& s : {s_sparse, s_dense}) {
+          EXPECT_EQ(s.tiles_jumped, want.tiles_jumped) << tag;
+          EXPECT_EQ(s.gather_edges, cfg.num_layers * edges) << tag;
+        }
+      }
+    }
+  }
+}
+
 TEST(Model, RowGatherPlannedOnlyWhereExact) {
   // The plan keeps the tile sweep where the gather would not be exact or
   // where the config asks for a tile ablation (no zero-tile jumping).

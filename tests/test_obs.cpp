@@ -298,6 +298,8 @@ TEST(Tracing, OnVsOffIsBitIdenticalOnEveryBackend) {
 
     EXPECT_EQ(off.bmma_ops, on.bmma_ops);
     EXPECT_EQ(off.tiles_jumped, on.tiles_jumped);
+    EXPECT_EQ(off.gather_edges, on.gather_edges);
+    EXPECT_EQ(off.code_macs, on.code_macs);
     EXPECT_EQ(off.nodes, on.nodes);
     ASSERT_EQ(off_logits.size(), on_logits.size());
     for (std::size_t b = 0; b < off_logits.size(); ++b) {
@@ -344,6 +346,48 @@ TEST(Tracing, StreamingEpochEmitsAllStageCategories) {
   EXPECT_GT(sb.prepare.busy_seconds + sb.ship.busy_seconds +
                 sb.compute.busy_seconds,
             0.0);
+  sink.clear();
+}
+
+TEST(Tracing, ForwardEmitsOneSpanPerStageAndOneExpansion) {
+  // Each forward pass: one neighbour-list expansion (its aggregations run
+  // the row gather) and one span per stage, carrying the stage index, its
+  // kernel and its output columns.
+  const Dataset ds = obs_dataset();
+  core::EngineConfig cfg = obs_config(tcsim::default_backend());
+  cfg.mode = core::RunMode::precomputed(core::RunMode::Adjacency::kTileSparse);
+  core::QgtcEngine engine(ds, cfg);
+  auto& sink = obs::SpanSink::instance();
+  sink.disable();
+  sink.clear();
+  sink.enable();
+  (void)engine.run_quantized(1);
+  sink.disable();
+
+  i64 expansions = 0;
+  i64 stages[4] = {};
+  for (const obs::Span& s : sink.snapshot()) {
+    if (std::strcmp(s.category, "gnn") != 0) continue;
+    if (std::strcmp(s.name, "expand_neighbours") == 0) {
+      ++expansions;
+      continue;
+    }
+    ASSERT_EQ(s.nargs, 3u) << s.name;
+    EXPECT_STREQ(s.args[0].key, "stage");
+    EXPECT_STREQ(s.args[1].key, "kernel");
+    EXPECT_STREQ(s.args[2].key, "cols");
+    const i64 stage = s.args[0].value;
+    ASSERT_TRUE(stage >= 0 && stage < 4) << stage;
+    ++stages[stage];
+    // GCN: aggregate then update per layer; the aggregations gather.
+    EXPECT_STREQ(s.name, stage % 2 == 0 ? "aggregate" : "update");
+    if (stage % 2 == 0) {
+      EXPECT_EQ(s.args[1].value, static_cast<i64>(ReuseMode::kRowGather));
+    }
+    EXPECT_EQ(s.args[2].value, stage == 3 ? cfg.model.out_dim : 16);
+  }
+  EXPECT_GT(expansions, 0);
+  for (const i64 n : stages) EXPECT_EQ(n, expansions);
   sink.clear();
 }
 
